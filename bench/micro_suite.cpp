@@ -1,11 +1,14 @@
 // google-benchmark micro-suite: throughput of the hot paths every other
 // bench and the server depend on — lexing, parsing, SPT build +
-// featurization, embedding encoders, JSON, broker ops, and the SPT index.
+// featurization, embedding encoders, JSON, the stored-column writers
+// (descriptionEmbedding, sptEmbedding, WAL records), broker ops, and the SPT
+// index.
 #include <benchmark/benchmark.h>
 
 #include "broker/broker.hpp"
 #include "common/json.hpp"
 #include "dataset/generator.hpp"
+#include "embed/embedding.hpp"
 #include "embed/reacc_sim.hpp"
 #include "embed/unixcoder_sim.hpp"
 #include "pycode/lexer.hpp"
@@ -99,6 +102,87 @@ void BM_JsonRoundTrip(benchmark::State& state) {
                           static_cast<int64_t>(text.size()));
 }
 BENCHMARK(BM_JsonRoundTrip);
+
+// ---- Stored-column writers ----
+// Registration writes a PE's 4,096-dim description embedding and its SPT
+// feature bag as JSON text columns, then logs the whole row as one WAL
+// record; recovery, /registry/load and follower bootstrap parse the
+// embedding back. These rows price each step on a real PE.
+
+const embed::Vector& SampleEmbedding() {
+  static const embed::Vector kVector = embed::UnixcoderSim().EncodeText(
+      "a processing element that detects anomalies in streaming sensor "
+      "temperature readings using a rolling z score window");
+  return kVector;
+}
+
+const spt::FeatureBag& SampleFeatures() {
+  static const spt::FeatureBag kBag =
+      spt::AromaEngine().Featurize(SamplePeCode()).value();
+  return kBag;
+}
+
+void BM_EmbeddingToJson(benchmark::State& state) {
+  const embed::Vector& v = SampleEmbedding();
+  for (auto _ : state) {
+    std::string text = embed::ToJson(v);
+    benchmark::DoNotOptimize(text);
+  }
+  state.counters["dims"] = static_cast<double>(v.size());
+}
+BENCHMARK(BM_EmbeddingToJson);
+
+void BM_EmbeddingFromJson(benchmark::State& state) {
+  const std::string text = embed::ToJson(SampleEmbedding());
+  for (auto _ : state) {
+    embed::Vector v = embed::FromJson(text);
+    benchmark::DoNotOptimize(v);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_EmbeddingFromJson);
+
+void BM_FeatureBagToJson(benchmark::State& state) {
+  const spt::FeatureBag& bag = SampleFeatures();
+  for (auto _ : state) {
+    std::string text = spt::FeatureBagToJson(bag);
+    benchmark::DoNotOptimize(text);
+  }
+  state.counters["features"] = static_cast<double>(bag.counts.size());
+}
+BENCHMARK(BM_FeatureBagToJson);
+
+void BM_WalPeRecordToJson(benchmark::State& state) {
+  // The shape Database's WAL appends for a PE insert.
+  Value row = Value::MakeObject();
+  row["peName"] = "AnomalyDetector";
+  row["description"] =
+      "detects anomalies in streaming sensor readings with a rolling z score";
+  row["descriptionEmbedding"] = embed::ToJson(SampleEmbedding());
+  row["peCode"] = SamplePeCode();
+  row["sptEmbedding"] = spt::FeatureBagToJson(SampleFeatures());
+  row["peType"] = "IterativePE";
+  row["tenant"] = "";
+  row["userId"] = 1;
+  row["id"] = 4242;
+  Value record = Value::MakeObject();
+  record["seq"] = 4242;
+  record["ts"] = int64_t{1760000000000};
+  record["table"] = "processing_element";
+  record["op"] = "insert";
+  record["id"] = 4242;
+  record["data"] = std::move(row);
+  size_t bytes = 0;
+  for (auto _ : state) {
+    std::string line = record.ToJson();
+    bytes = line.size();
+    benchmark::DoNotOptimize(line);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_WalPeRecordToJson);
 
 void BM_BrokerPushPop(benchmark::State& state) {
   broker::Broker broker;

@@ -1,5 +1,6 @@
 #include "common/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -7,6 +8,20 @@
 
 namespace laminar::json {
 namespace {
+
+/// Locale-independent, allocation-free text -> double. from_chars reports
+/// overflow and underflow instead of returning strtod's HUGE_VAL or
+/// rounded-to-zero result; those rare tokens go through strtod so they keep
+/// parsing exactly as they always have (1e999 -> inf, 1e-400 -> 0).
+double ParseDouble(std::string_view token) {
+  double d = 0.0;
+  auto [ptr, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), d);
+  if (ec == std::errc::result_out_of_range) {
+    return std::strtod(std::string(token).c_str(), nullptr);
+  }
+  return d;
+}
 
 class Parser {
  public:
@@ -268,8 +283,7 @@ class Parser {
       }
       // fall through to double on overflow
     }
-    double d = std::strtod(std::string(token).c_str(), nullptr);
-    return Value(d);
+    return Value(ParseDouble(token));
   }
 
   std::string_view text_;
@@ -280,6 +294,36 @@ class Parser {
 
 Result<Value> Parse(std::string_view text) {
   return Parser(text).ParseDocument();
+}
+
+char* WriteNumber(char* p, double d) {
+  // JSON has no NaN/Inf; match common serializer behaviour.
+  if (!std::isfinite(d)) return std::copy_n("null", 4, p);
+  // Zero is most of a sparse embedding; skip the formatting round trips.
+  if (d == 0.0) {
+    return std::signbit(d) ? std::copy_n("-0.0", 4, p)
+                           : std::copy_n("0.0", 3, p);
+  }
+  // to_chars with a precision formats exactly as printf("%.*g"). No
+  // precision below the shortest round-trip digit count can parse back to
+  // `d`, so the search starts there; 17 digits always round-trip.
+  char* const limit = p + kMaxNumberChars;
+  char* const shortest_end =
+      std::to_chars(p, limit, d, std::chars_format::scientific).ptr;
+  const int shortest = static_cast<int>(std::count_if(
+      p, std::find(p, shortest_end, 'e'),
+      [](char c) { return c >= '0' && c <= '9'; }));
+  char* end = p;
+  for (int prec = std::max(15, shortest); prec <= 17; ++prec) {
+    end = std::to_chars(p, limit, d, std::chars_format::general, prec).ptr;
+    if (prec == 17 || ParseDouble(std::string_view(p, end - p)) == d) break;
+  }
+  // Whole values keep a ".0" so they re-parse as doubles, not ints —
+  // type-preserving round trips matter for stored embeddings and specs.
+  if (std::none_of(p, end, [](char c) { return c == '.' || c == 'e'; })) {
+    end = std::copy_n(".0", 2, end);
+  }
+  return end;
 }
 
 }  // namespace laminar::json

@@ -1,4 +1,5 @@
-// JSON parsing into laminar::Value.
+// JSON parsing into laminar::Value, and the number writer every JSON
+// serializer shares.
 //
 // The wire protocol, registry persistence and SPT-embedding storage
 // ('sptEmbedding' column is JSON, per the paper's Fig. 6 schema) all parse
@@ -15,5 +16,17 @@ namespace laminar::json {
 
 /// Parses exactly one JSON document (plus surrounding whitespace).
 Result<Value> Parse(std::string_view text);
+
+/// Room WriteNumber needs. Its longest text, "-2.2250738585072014e-308",
+/// is 24 bytes.
+inline constexpr size_t kMaxNumberChars = 32;
+
+/// Writes `d` as a JSON number to `p` (which must have kMaxNumberChars of
+/// room) and returns the end: the shortest of %.15g, %.16g and %.17g that
+/// parses back to `d`, with ".0" added to whole values so they re-parse as
+/// doubles; NaN and Inf become null. Value::ToJson and the stored-column
+/// writers (embed::ToJson) all go through here, so a column's bytes never
+/// depend on which of them wrote it.
+char* WriteNumber(char* p, double d);
 
 }  // namespace laminar::json

@@ -1,8 +1,8 @@
 #include "common/value.hpp"
 
-#include <cmath>
-#include <cstdio>
-#include <cstring>
+#include <charconv>
+
+#include "common/json.hpp"
 
 namespace laminar {
 namespace {
@@ -26,7 +26,12 @@ const Value::Object& EmptyObject() {
 
 void EscapeInto(std::string& out, const std::string& s) {
   out += '"';
-  for (unsigned char c : s) {
+  size_t run = 0;  // start of the pending verbatim run
+  for (size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -36,46 +41,13 @@ void EscapeInto(std::string& out, const std::string& s) {
       case '\b': out += "\\b"; break;
       case '\f': out += "\\f"; break;
       default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
+        out += "\\u00";
+        out += "0123456789abcdef"[c >> 4];
+        out += "0123456789abcdef"[c & 0xf];
     }
   }
+  out.append(s, run, s.size() - run);
   out += '"';
-}
-
-void NumberInto(std::string& out, double d) {
-  if (std::isnan(d) || std::isinf(d)) {
-    out += "null";  // JSON has no NaN/Inf; match common serializer behaviour
-    return;
-  }
-  // Whole values keep a ".0" so they re-parse as doubles, not ints —
-  // type-preserving round trips matter for stored embeddings and specs.
-  auto emit = [&](const char* text) {
-    out += text;
-    if (out.find_first_of(".eE", out.size() - std::strlen(text)) ==
-        std::string::npos) {
-      out += ".0";
-    }
-  };
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  // Trim to shortest round-trip representation cheaply: try %.15g then %.16g.
-  for (int prec = 15; prec <= 17; ++prec) {
-    char trial[32];
-    std::snprintf(trial, sizeof trial, "%.*g", prec, d);
-    double back = 0.0;
-    std::sscanf(trial, "%lf", &back);
-    if (back == d) {
-      emit(trial);
-      return;
-    }
-  }
-  emit(buf);
 }
 
 }  // namespace
@@ -212,9 +184,11 @@ void SerializeInto(std::string& out, const Value& v, int indent, int depth) {
   } else if (v.is_bool()) {
     out += v.as_bool() ? "true" : "false";
   } else if (v.is_int()) {
-    out += std::to_string(v.as_int());
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v.as_int()).ptr);
   } else if (v.is_double()) {
-    NumberInto(out, v.as_double());
+    char buf[json::kMaxNumberChars];
+    out.append(buf, json::WriteNumber(buf, v.as_double()));
   } else if (v.is_string()) {
     EscapeInto(out, v.as_string());
   } else if (v.is_array()) {

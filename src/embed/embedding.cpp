@@ -44,9 +44,27 @@ float CosineWithNorm(std::span<const float> a, float norm_a,
 }
 
 std::string ToJson(const Vector& v) {
-  Value arr = Value::MakeArray();
-  for (float x : v) arr.push_back(static_cast<double>(x));
-  return arr.ToJson();
+  // Same bytes as a Value array of doubles, without building one. Numbers
+  // are formatted into a stack buffer flushed in blocks: a sparse embedding
+  // is mostly "0.0,", so per-number string appends would dominate. The
+  // reservation is the all-zero length; nonzero entries grow past it.
+  std::string out;
+  out.reserve(v.size() * 4 + 2);
+  constexpr ptrdiff_t kRoom = json::kMaxNumberChars + 2;  // ',' number ']'
+  char buf[1024];
+  char* p = buf;
+  *p++ = '[';
+  for (size_t i = 0; i < v.size(); ++i) {
+    if (buf + sizeof buf - p < kRoom) {
+      out.append(buf, p);
+      p = buf;
+    }
+    if (i) *p++ = ',';
+    p = json::WriteNumber(p, static_cast<double>(v[i]));
+  }
+  *p++ = ']';
+  out.append(buf, p);
+  return out;
 }
 
 Vector FromJson(std::string_view json_text) {

@@ -1449,16 +1449,16 @@ void LaminarServer::HandleInternal(const net::HttpRequest& request,
     }
     ResetTenantRowCounts();  // loaded rows replace all per-tenant counts
     Value resp = Value::MakeObject();
-    resp["pes"] = static_cast<int64_t>(repo_.AllPes().size());
-    resp["workflows"] = static_cast<int64_t>(repo_.AllWorkflows().size());
+    resp["pes"] = repo_.PeCount();
+    resp["workflows"] = repo_.WorkflowCount();
     Reply(out, 200, resp);
     return;
   }
 
   if (path == "/stats") {
     Value resp = Value::MakeObject();
-    resp["pes"] = static_cast<int64_t>(repo_.AllPes().size());
-    resp["workflows"] = static_cast<int64_t>(repo_.AllWorkflows().size());
+    resp["pes"] = repo_.PeCount();
+    resp["workflows"] = repo_.WorkflowCount();
     auto cache = engine_.resource_cache().stats();
     resp["cache"]["hits"] = static_cast<int64_t>(cache.hits);
     resp["cache"]["misses"] = static_cast<int64_t>(cache.misses);

@@ -193,11 +193,19 @@ std::string FeatureBagToJson(const FeatureBag& bag) {
   std::vector<std::pair<uint64_t, uint32_t>> entries(bag.counts.begin(),
                                                      bag.counts.end());
   std::sort(entries.begin(), entries.end());
-  Value obj = Value::MakeObject();
+  // Decimal keys and counts need no escaping: write {"hash":count,...}
+  // directly, byte-identical to the equivalent Value object's ToJson.
+  std::string out = "{";
+  char buf[24];
   for (const auto& [h, c] : entries) {
-    obj[std::to_string(h)] = static_cast<int64_t>(c);
+    if (out.size() > 1) out += ',';
+    out += '"';
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, h).ptr);
+    out += "\":";
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, c).ptr);
   }
-  return obj.ToJson();
+  out += '}';
+  return out;
 }
 
 Result<FeatureBag> FeatureBagFromJson(std::string_view json_text) {

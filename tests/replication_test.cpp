@@ -8,17 +8,25 @@
 // teardown stays deterministic and sanitizer-friendly.
 #include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "client/connect.hpp"
+#include "client/demo_workflows.hpp"
 #include "client/fanout.hpp"
 #include "common/json.hpp"
+#include "embed/embedding.hpp"
+#include "embed/unixcoder_sim.hpp"
 #include "net/tcp.hpp"
+#include "spt/recommend.hpp"
 
 namespace laminar::client {
 namespace {
@@ -27,6 +35,12 @@ namespace fs = std::filesystem;
 
 std::string TempPath(const std::string& name) {
   return (fs::temp_directory_path() / name).string();
+}
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
 std::string PeCode(const std::string& cls) {
@@ -331,6 +345,170 @@ TEST_F(ReplicationTest, FollowerRestartResyncsWithoutDupOrSkip) {
     EXPECT_EQ(leader_registry->first[i].id, follower_registry->first[i].id);
     EXPECT_EQ(leader_registry->first[i].name,
               follower_registry->first[i].name);
+  }
+}
+
+TEST_F(ReplicationTest, SnapshotAndWalRecoverAndBootstrapIdentically) {
+  // Pins the on-disk format: a snapshot plus WAL suffix written by one
+  // leader recovers in a restarted leader, and bootstraps a follower, to
+  // the same records and bit-identical semantic scores. The stored columns
+  // (descriptionEmbedding, sptEmbedding) are read back, never re-encoded,
+  // so any drift in how they were written or parsed shows up here.
+  // This test restarts the leader from its files, so it must not share
+  // them with the other tests in this suite, which ctest runs in parallel
+  // (each one's SetUp deletes the fixture's default paths).
+  const std::string tag = "laminar_repl_compat_" + std::to_string(::getpid());
+  wal_path_ = TempPath(tag + "_wal.jsonl");
+  snapshot_path_ = TempPath(tag + "_snap.json");
+  const std::string side_before = TempPath(tag + "_before.json");
+  const std::string side_after = TempPath(tag + "_after.json");
+  const std::vector<std::string> queries = {
+      "reads quoted tuples", "filters prime numbers", "sensor anomaly",
+      "tuples"};
+  struct State {
+    std::vector<PeInfo> pes;
+    std::vector<std::string> workflows;
+    std::vector<std::vector<SearchHit>> hits;
+    int64_t stats_pes = -1;
+  };
+  auto capture = [&](LaminarClient& client) {
+    State state;
+    auto registry = client.GetRegistry();
+    EXPECT_TRUE(registry.ok());
+    if (!registry.ok()) return state;
+    state.pes = registry->first;
+    for (const WorkflowInfo& wf : registry->second) {
+      state.workflows.push_back(wf.name + "|" + wf.description + "|" +
+                                wf.code);
+    }
+    for (const std::string& q : queries) {
+      for (const char* target : {"pe", "workflow"}) {
+        Result<std::vector<SearchHit>> hits =
+            client.SearchRegistrySemantic(q, target);
+        EXPECT_TRUE(hits.ok()) << q;
+        state.hits.push_back(hits.ok() ? *hits : std::vector<SearchHit>{});
+      }
+    }
+    Result<Value> stats = client.GetStats();
+    EXPECT_TRUE(stats.ok());
+    if (stats.ok()) state.stats_pes = stats->GetInt("pes", -1);
+    return state;
+  };
+  auto expect_same = [](const State& want, const State& got,
+                        const char* where) {
+    ASSERT_EQ(want.pes.size(), got.pes.size()) << where;
+    for (size_t i = 0; i < want.pes.size(); ++i) {
+      const PeInfo& a = want.pes[i];
+      const PeInfo& b = got.pes[i];
+      EXPECT_EQ(a.id, b.id) << where;
+      EXPECT_EQ(a.name, b.name) << where;
+      EXPECT_EQ(a.description, b.description) << where;
+      EXPECT_EQ(a.code, b.code) << where;
+    }
+    EXPECT_EQ(want.workflows, got.workflows) << where;
+    EXPECT_EQ(want.stats_pes, got.stats_pes) << where;
+    ASSERT_EQ(want.hits.size(), got.hits.size()) << where;
+    for (size_t q = 0; q < want.hits.size(); ++q) {
+      ASSERT_EQ(want.hits[q].size(), got.hits[q].size()) << where << " " << q;
+      for (size_t i = 0; i < want.hits[q].size(); ++i) {
+        EXPECT_EQ(want.hits[q][i].id, got.hits[q][i].id) << where << " " << q;
+        // Bit-identical, not approximately equal.
+        EXPECT_EQ(want.hits[q][i].score, got.hits[q][i].score)
+            << where << " " << q;
+      }
+    }
+  };
+
+  StartLeader();
+  State before;
+  {
+    Result<TcpClient> cli = Dial(leader_->port());
+    ASSERT_TRUE(cli.ok());
+    LaminarClient& client = *cli->client;
+    // Descriptions exercise every escape class the writer has: quotes,
+    // backslashes, tabs, control bytes and UTF-8 multibyte text.
+    ASSERT_TRUE(client
+                    .RegisterPe(PeCode("QuotedReader"), "QuotedReader",
+                                "reads \"quoted\" tuples\tfrom C:\\data")
+                    .ok());
+    ASSERT_TRUE(client
+                    .RegisterPe(PeCode("Premier"), "Premier",
+                                std::string("filtre les nombres premiers \xe2\x80\x94 "
+                                            "caf\xc3\xa9 \x01 bell\x07"))
+                    .ok());
+    const DemoWorkflow* demo = FindDemoWorkflow("isprime_wf");
+    ASSERT_NE(demo, nullptr);
+    ASSERT_TRUE(
+        client.RegisterWorkflow(demo->name, demo->spec, demo->pes, demo->code)
+            .ok());
+    // Everything so far lands in the snapshot; the rest is WAL suffix.
+    ASSERT_TRUE(client.SaveRegistry(snapshot_path_).ok());
+    Result<PeInfo> suffix = client.RegisterPe(
+        PeCode("SuffixFilter"), "SuffixFilter", "filters tuples by a predicate");
+    ASSERT_TRUE(suffix.ok());
+    ASSERT_TRUE(client
+                    .UpdatePeDescription(suffix->id,
+                                         "flags sensor anomalies over a window")
+                    .ok());
+    const DemoWorkflow* anomaly = FindDemoWorkflow("anomaly_wf");
+    ASSERT_NE(anomaly, nullptr);
+    ASSERT_TRUE(client
+                    .RegisterWorkflow(anomaly->name, anomaly->spec,
+                                      anomaly->pes, anomaly->code)
+                    .ok());
+    before = capture(client);
+    ASSERT_TRUE(client.SaveRegistry(side_before).ok());
+  }
+  ASSERT_GE(before.pes.size(), 8u);
+  ASSERT_EQ(before.workflows.size(), 2u);
+
+  // Restart: the new leader recovers the snapshot plus the WAL suffix.
+  leader_.reset();
+  StartLeader();
+  Result<TcpClient> leader_cli = Dial(leader_->port());
+  ASSERT_TRUE(leader_cli.ok());
+  expect_same(before, capture(*leader_cli->client), "recovered leader");
+  // Re-serializing the recovered tables reproduces the same snapshot bytes.
+  ASSERT_TRUE(leader_cli->client->SaveRegistry(side_after).ok());
+  const std::string before_bytes = ReadAll(side_before);
+  EXPECT_FALSE(before_bytes.empty());
+  EXPECT_EQ(before_bytes, ReadAll(side_after));
+  // The stored columns are lossless: each parses back to exactly what the
+  // server computed from the row's description and code.
+  Result<Value> doc = json::Parse(before_bytes);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const embed::UnixcoderSim text_model;
+  const spt::AromaEngine aroma;
+  size_t pe_rows = 0;
+  for (const char* table : {"processing_element", "workflow"}) {
+    for (const Value& row : doc->at(table).at("rows").as_array()) {
+      EXPECT_EQ(embed::FromJson(row.GetString("descriptionEmbedding")),
+                text_model.EncodeText(row.GetString("description")))
+          << row.GetString("description");
+      if (std::string(table) != "processing_element") continue;
+      ++pe_rows;
+      Result<spt::FeatureBag> stored =
+          spt::FeatureBagFromJson(row.GetString("sptEmbedding"));
+      Result<spt::FeatureBag> fresh = aroma.Featurize(row.GetString("peCode"));
+      ASSERT_TRUE(stored.ok() && fresh.ok());
+      EXPECT_EQ(stored->counts, fresh->counts);
+    }
+  }
+  EXPECT_EQ(pe_rows, before.pes.size());
+
+  // A follower bootstraps from the recovered leader's snapshot.
+  std::unique_ptr<TcpLaminarServer> follower = StartFollower();
+  ASSERT_NE(follower, nullptr);
+  Result<TcpClient> follower_cli = Dial(follower->port());
+  ASSERT_TRUE(follower_cli.ok());
+  AwaitCatchUp(*leader_cli->client, *follower_cli->client);
+  expect_same(before, capture(*follower_cli->client), "bootstrapped follower");
+
+  follower.reset();
+  leader_.reset();
+  for (const std::string& path :
+       {wal_path_, snapshot_path_, side_before, side_after}) {
+    fs::remove(path);
   }
 }
 

@@ -67,6 +67,58 @@ TEST(ServerExtras, SaveAndLoadRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(ServerExtras, RowCountsInStatsAndLoadMatchTheRegistry) {
+  // /stats and /registry/load report row counts straight from the tables;
+  // they must agree with the rows a full registry listing returns, through
+  // registrations, removals and a save/load cycle.
+  namespace fs = std::filesystem;
+  std::string path =
+      (fs::temp_directory_path() / "laminar_server_counts.json").string();
+  auto expect_counts = [](LaminarClient& client, const Value& counts) {
+    auto registry = client.GetRegistry();
+    ASSERT_TRUE(registry.ok());
+    EXPECT_EQ(counts.GetInt("pes", -1),
+              static_cast<int64_t>(registry->first.size()));
+    EXPECT_EQ(counts.GetInt("workflows", -1),
+              static_cast<int64_t>(registry->second.size()));
+  };
+  {
+    InProcessLaminar laminar = ConnectInProcess(FastServer());
+    for (const char* name : {"isprime_wf", "anomaly_wf"}) {
+      const DemoWorkflow* demo = FindDemoWorkflow(name);
+      ASSERT_TRUE(laminar.client
+                      ->RegisterWorkflow(demo->name, demo->spec, demo->pes,
+                                         demo->code)
+                      .ok());
+    }
+    Result<PeInfo> extra = laminar.client->RegisterPe(
+        "class Extra:\n    def process(self, x):\n        return x\n");
+    ASSERT_TRUE(extra.ok());
+    Result<PeInfo> gone = laminar.client->RegisterPe(
+        "class Gone:\n    def process(self, x):\n        return x\n");
+    ASSERT_TRUE(gone.ok());
+    ASSERT_TRUE(laminar.client->RemovePe(gone->id).ok());
+    Result<Value> stats = laminar.client->GetStats();
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->GetInt("workflows"), 2);
+    expect_counts(*laminar.client, *stats);
+    ASSERT_TRUE(laminar.client->SaveRegistry(path).ok());
+  }
+  {
+    InProcessLaminar laminar = ConnectInProcess(FastServer());
+    Value body = Value::MakeObject();
+    body["path"] = path;
+    Result<Value> loaded = laminar.client->CallEndpoint("/registry/load", body);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    expect_counts(*laminar.client, *loaded);
+    Result<Value> stats = laminar.client->GetStats();
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->GetInt("pes"), loaded->GetInt("pes"));
+    EXPECT_EQ(stats->GetInt("workflows"), loaded->GetInt("workflows"));
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ServerExtras, SaveRequiresPath) {
   InProcessLaminar laminar = ConnectInProcess(FastServer());
   EXPECT_FALSE(laminar.client->SaveRegistry("").ok());

@@ -1,7 +1,20 @@
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/json.hpp"
 #include "common/value.hpp"
+#include "embed/embedding.hpp"
+#include "embed/unixcoder_sim.hpp"
+#include "spt/recommend.hpp"
 
 namespace laminar {
 namespace {
@@ -179,6 +192,247 @@ TEST(JsonRoundTrip, ComplexDocument) {
   Result<Value> pretty = json::Parse(doc.ToJsonPretty());
   ASSERT_TRUE(pretty.ok());
   EXPECT_EQ(pretty.value(), doc);
+}
+
+TEST(JsonParse, OutOfRangeNumbersMatchStrtod) {
+  // from_chars reports these as out of range; the parser must still return
+  // what strtod always did: ±inf on overflow, 0 or a subnormal below.
+  for (const char* text : {"1e999", "-1e999", "1e-400", "-1e-400", "4.9e-324",
+                           "2.4e-324", "1e-320", "2.2250738585072011e-308"}) {
+    Result<Value> v = json::Parse(text);
+    ASSERT_TRUE(v.ok()) << text;
+    ASSERT_TRUE(v->is_double()) << text;
+    const double want = std::strtod(text, nullptr);
+    const double got = v->as_double();
+    EXPECT_EQ(std::memcmp(&want, &got, sizeof want), 0) << text;
+  }
+  EXPECT_EQ(json::Parse("1e999")->as_double(),
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(json::Parse("-1e999")->as_double(),
+            -std::numeric_limits<double>::infinity());
+  EXPECT_EQ(json::Parse("1e-400")->as_double(), 0.0);
+  EXPECT_EQ(json::Parse("4.9e-324")->as_double(),
+            std::numeric_limits<double>::denorm_min());
+  EXPECT_TRUE(std::signbit(json::Parse("-0.0")->as_double()));
+}
+
+// ---- Byte-identity of the JSON writers ----
+//
+// Stored columns (descriptionEmbedding, sptEmbedding), snapshots, WAL lines
+// and replication frames are all written by json::WriteNumber and the
+// string escaper behind Value::ToJson. The oracles below are the
+// snprintf/sscanf writers those replaced; every stored byte must stay the
+// same.
+
+std::string OracleNumber(double d) {
+  if (std::isnan(d) || std::isinf(d)) return "null";
+  auto emit = [](const char* text) {
+    std::string s = text;
+    if (s.find_first_of(".eE") == std::string::npos) s += ".0";
+    return s;
+  };
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", d);
+  for (int prec = 15; prec <= 17; ++prec) {
+    char trial[32];
+    std::snprintf(trial, sizeof trial, "%.*g", prec, d);
+    double back = 0.0;
+    std::sscanf(trial, "%lf", &back);
+    if (back == d) return emit(trial);
+  }
+  return emit(buf);
+}
+
+std::string OracleString(const std::string& s) {
+  std::string out = "\"";
+  for (unsigned char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += static_cast<char>(c);
+        }
+    }
+  }
+  return out + "\"";
+}
+
+std::string Number(double d) {
+  char buf[json::kMaxNumberChars];
+  return std::string(buf, json::WriteNumber(buf, d));
+}
+
+std::vector<double> EdgeDoubles() {
+  using Lim = std::numeric_limits<double>;
+  std::vector<double> out = {
+      0.0, -0.0, 1.0, -1.0, 3.0, 100.0, 0.1, 0.5, 1.0 / 3.0, 2.0 / 3.0,
+      0.30000000000000004, 123456789012345678.0, 9007199254740993.0,
+      Lim::denorm_min(), -Lim::denorm_min(), Lim::min(), -Lim::min(),
+      2.2250738585072009e-308, Lim::max(), Lim::lowest(), Lim::epsilon(),
+      Lim::infinity(), -Lim::infinity(), Lim::quiet_NaN(),
+      -Lim::quiet_NaN(), Lim::signaling_NaN(),
+      static_cast<double>(0.1f), static_cast<double>(1.0f / 3.0f),
+      static_cast<double>(std::numeric_limits<float>::min()),
+      static_cast<double>(std::numeric_limits<float>::denorm_min()),
+      static_cast<double>(std::numeric_limits<float>::max())};
+  // The %g switch points (exponent < -4 or >= precision) and their
+  // neighbours, for every precision the writer tries.
+  for (double base : {1e-5, 1e-4, 1e-3, 1e14, 1e15, 1e16, 1e17, 1e18, 1e21,
+                      1e22, 1e-300, 1e-310, 1e-320, 1e300, 1e308}) {
+    for (double v : {base, -base, std::nextafter(base, 0.0),
+                     std::nextafter(base, Lim::infinity()),
+                     base - 1.0, base + 1.0, base + 2.0}) {
+      out.push_back(v);
+    }
+  }
+  for (int e = -324; e <= 308; ++e) {
+    const double p = std::pow(10.0, e);
+    out.push_back(p);
+    out.push_back(std::nextafter(p, 0.0));
+    out.push_back(static_cast<double>(static_cast<float>(p)));
+  }
+  return out;
+}
+
+TEST(JsonWriterParity, EdgeDoublesMatchTheOldWriter) {
+  for (double d : EdgeDoubles()) {
+    ASSERT_EQ(Number(d), OracleNumber(d)) << std::hexfloat << d;
+  }
+  EXPECT_EQ(Number(0.0), "0.0");
+  EXPECT_EQ(Number(-0.0), "-0.0");
+  EXPECT_EQ(Number(1e15), "1e+15");
+  EXPECT_EQ(Number(1e-5), "1e-05");
+  EXPECT_EQ(Number(0.1 + 0.2), "0.30000000000000004");
+  EXPECT_EQ(Number(1e-4), "0.0001");
+  EXPECT_EQ(Number(100.0), "100.0");
+  EXPECT_EQ(Number(std::numeric_limits<double>::denorm_min()),
+            "4.94065645841247e-324");
+  EXPECT_EQ(Number(std::numeric_limits<double>::quiet_NaN()), "null");
+}
+
+TEST(JsonWriterParity, SeededSweepOfAMillionDoublesMatchesTheOldWriter) {
+  std::mt19937_64 rng(20241117);
+  constexpr int kPerKind = 1 << 19;  // 2^20 doubles in all
+  std::uniform_real_distribution<float> unit(-1.0f, 1.0f);
+  for (int i = 0; i < kPerKind; ++i) {
+    // Random bit patterns: every exponent, subnormals, NaN payloads.
+    const uint64_t bits = rng();
+    double d;
+    std::memcpy(&d, &bits, sizeof d);
+    ASSERT_EQ(Number(d), OracleNumber(d)) << std::hexfloat << d;
+    // Float-cast values, the shape of every stored embedding component:
+    // alternately raw float bit patterns and unit-range embedding weights.
+    float f;
+    if (i % 2 == 0) {
+      const auto fbits = static_cast<uint32_t>(rng());
+      std::memcpy(&f, &fbits, sizeof f);
+    } else {
+      f = unit(rng);
+    }
+    d = static_cast<double>(f);
+    ASSERT_EQ(Number(d), OracleNumber(d)) << std::hexfloat << d;
+  }
+}
+
+TEST(JsonWriterParity, EscapeGoldenStrings) {
+  std::string all_controls;
+  for (int c = 0; c < 0x20; ++c) all_controls += static_cast<char>(c);
+  EXPECT_EQ(Value(all_controls).ToJson(),
+            "\"\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+            "\\b\\t\\n\\u000b\\f\\r\\u000e\\u000f"
+            "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+            "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f\"");
+  // Escapes at the first and last position, around a verbatim run.
+  EXPECT_EQ(Value(std::string("\x1f" "ab\"", 4)).ToJson(),
+            "\"\\u001fab\\\"\"");
+  EXPECT_EQ(Value("\\mid\x7f" "dle\n").ToJson(), "\"\\\\mid\x7f" "dle\\n\"");
+  // UTF-8 multibyte sequences (2, 3 and 4 bytes) pass through verbatim.
+  EXPECT_EQ(Value("\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80").ToJson(),
+            "\"\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80\"");
+  EXPECT_EQ(Value("").ToJson(), "\"\"");
+  // Object keys take the same path.
+  Value obj = Value::MakeObject();
+  obj["k\t\""] = 1;
+  EXPECT_EQ(obj.ToJson(), "{\"k\\t\\\"\":1}");
+}
+
+TEST(JsonWriterParity, EveryByteInEveryPositionMatchesTheOldEscaper) {
+  for (int c = 0; c < 256; ++c) {
+    const char ch = static_cast<char>(c);
+    for (const std::string& s :
+         {std::string(1, ch), std::string(1, ch) + "xyz",
+          "xyz" + std::string(1, ch), "x" + std::string(1, ch) + "yz",
+          std::string(2, ch)}) {
+      ASSERT_EQ(Value(s).ToJson(), OracleString(s)) << "byte " << c;
+    }
+  }
+}
+
+TEST(JsonWriterParity, FeatureBagToJsonGoldenBytes) {
+  spt::FeatureBag bag;
+  bag.counts = {{18446744073709551615ull, 1}, {0, 3}, {42, 7}, {1000, 12}};
+  EXPECT_EQ(spt::FeatureBagToJson(bag),
+            R"({"0":3,"42":7,"1000":12,"18446744073709551615":1})");
+  EXPECT_EQ(spt::FeatureBagToJson(spt::FeatureBag{}), "{}");
+
+  // A real featurized snippet: same bytes as the Value object the column
+  // used to be serialized from, and it parses back to the same counts.
+  spt::AromaEngine engine;
+  Result<spt::FeatureBag> real = engine.Featurize(
+      "class IsPrime:\n"
+      "    def process(self, n):\n"
+      "        for i in range(2, n):\n"
+      "            if n % i == 0:\n"
+      "                return None\n"
+      "        return n\n");
+  ASSERT_TRUE(real.ok());
+  ASSERT_GT(real->counts.size(), 10u);
+  std::vector<std::pair<uint64_t, uint32_t>> sorted(real->counts.begin(),
+                                                    real->counts.end());
+  std::sort(sorted.begin(), sorted.end());
+  Value obj = Value::MakeObject();
+  for (const auto& [h, c] : sorted) {
+    obj[std::to_string(h)] = static_cast<int64_t>(c);
+  }
+  const std::string text = spt::FeatureBagToJson(*real);
+  EXPECT_EQ(text, obj.ToJson());
+  Result<spt::FeatureBag> back = spt::FeatureBagFromJson(text);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->counts, real->counts);
+}
+
+TEST(JsonWriterParity, EmbeddingToJsonMatchesTheValueArrayPath) {
+  embed::UnixcoderSim model;
+  for (const char* text :
+       {"reads tuples from a file and emits one line each",
+        "filters prime numbers", "",
+        "computes a sliding-window z-score over sensor readings and flags "
+        "anomalies above three standard deviations"}) {
+    const embed::Vector v = model.EncodeText(text);
+    Value arr = Value::MakeArray();
+    std::string oracle = "[";
+    for (size_t i = 0; i < v.size(); ++i) {
+      arr.push_back(static_cast<double>(v[i]));
+      if (i) oracle += ',';
+      oracle += OracleNumber(static_cast<double>(v[i]));
+    }
+    oracle += ']';
+    const std::string text_json = embed::ToJson(v);
+    EXPECT_EQ(text_json, arr.ToJson()) << text;
+    EXPECT_EQ(text_json, oracle) << text;
+    EXPECT_EQ(embed::FromJson(text_json), v) << text;
+  }
+  EXPECT_EQ(embed::ToJson({}), "[]");
 }
 
 }  // namespace
