@@ -13,6 +13,17 @@ struct ParseErrorEx : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// CPython's limits: 200 levels of expression nesting (its tokenizer's
+/// MAXLEVEL for brackets) and 100 indentation levels (MAXINDENT). Every
+/// level the expression tree grows counts against kMaxNesting: a nested
+/// expression (bracket, lambda body, ternary branch), a unary operator,
+/// `not`, `**`, a parenthesized target, and each further left operand of a
+/// chain such as a+b+c or f()(). Deeper input is a parse error, so the
+/// parser's recursion and every recursive walk of the tree (teardown,
+/// Node::Visit, SPT featurization) stay within a small stack.
+constexpr int kMaxNesting = 200;
+constexpr int kMaxIndent = 100;
+
 class Parser {
  public:
   Parser(std::vector<Token> tokens, bool lenient)
@@ -31,6 +42,38 @@ class Parser {
   }
 
  private:
+  // ---- nesting limits ----
+  /// Holds levels of `counter` until destroyed; Add() takes one more.
+  class DepthGuard {
+   public:
+    DepthGuard(const Parser& parser, int& counter, int limit,
+               const char* what, int levels)
+        : parser_(parser), counter_(counter), limit_(limit), what_(what) {
+      while (levels-- > 0) Add();
+    }
+    DepthGuard(const DepthGuard&) = delete;
+    DepthGuard& operator=(const DepthGuard&) = delete;
+    ~DepthGuard() { counter_ -= held_; }
+    void Add() {
+      if (counter_ >= limit_) parser_.Fail(what_);
+      ++counter_;
+      ++held_;
+    }
+
+   private:
+    const Parser& parser_;
+    int& counter_;
+    const int limit_;
+    const char* what_;
+    int held_ = 0;
+  };
+  /// Expression nesting; a chain starts with 0 levels and Add()s one per
+  /// further left operand.
+  DepthGuard Nest(int levels = 1) {
+    return DepthGuard(*this, nesting_, kMaxNesting,
+                      "expression nested too deeply", levels);
+  }
+
   // ---- token cursor ----
   const Token& Peek(size_t ahead = 0) const {
     size_t i = pos_ + ahead;
@@ -341,6 +384,8 @@ class Parser {
         Fail("expected indented block");
       }
       Take();  // INDENT
+      DepthGuard block(*this, indent_, kMaxIndent,
+                       "too many indentation levels", 1);
       while (!At(TokenType::kDedent) && !At(TokenType::kEnd)) {
         if (At(TokenType::kNewline)) {
           Take();
@@ -541,6 +586,7 @@ class Parser {
   NodePtr ParseTargetList() {
     auto list = Node::Internal("target_list");
     if (AtOp("(")) {  // tuple-target in parens
+      DepthGuard nest = Nest();
       list->AddLeaf(Take());
       list->Add(ParseTargetList());
       list->AddLeaf(ExpectOp(")"));
@@ -600,6 +646,7 @@ class Parser {
   }
 
   NodePtr ParseTest() {
+    DepthGuard nest = Nest();
     if (AtKw("lambda")) return ParseLambda();
     NodePtr expr = ParseOrTest();
     if (AtKw("if")) {
@@ -651,7 +698,9 @@ class Parser {
 
   NodePtr ParseOrTest() {
     NodePtr left = ParseAndTest();
+    DepthGuard chain = Nest(0);
     while (AtKw("or")) {
+      chain.Add();
       auto node = Node::Internal("or_expr");
       node->Add(std::move(left));
       node->AddLeaf(Take());
@@ -663,7 +712,9 @@ class Parser {
 
   NodePtr ParseAndTest() {
     NodePtr left = ParseNotTest();
+    DepthGuard chain = Nest(0);
     while (AtKw("and")) {
+      chain.Add();
       auto node = Node::Internal("and_expr");
       node->Add(std::move(left));
       node->AddLeaf(Take());
@@ -675,6 +726,7 @@ class Parser {
 
   NodePtr ParseNotTest() {
     if (AtKw("not")) {
+      DepthGuard nest = Nest();
       auto node = Node::Internal("not_expr");
       node->AddLeaf(Take());
       node->Add(ParseNotTest());
@@ -712,10 +764,12 @@ class Parser {
   NodePtr ParseBinaryLevel(const std::vector<std::string_view>& ops,
                            NodePtr (Parser::*next)()) {
     NodePtr left = (this->*next)();
+    DepthGuard chain = Nest(0);
     while (true) {
       bool matched = false;
       for (std::string_view op : ops) {
         if (AtOp(op)) {
+          chain.Add();
           auto node = Node::Internal("bin_op");
           node->Add(std::move(left));
           node->AddLeaf(Take());
@@ -744,6 +798,7 @@ class Parser {
 
   NodePtr ParseFactor() {
     if (AtOp("+") || AtOp("-") || AtOp("~")) {
+      DepthGuard nest = Nest();
       auto node = Node::Internal("unary_op");
       node->AddLeaf(Take());
       node->Add(ParseFactor());
@@ -755,6 +810,7 @@ class Parser {
   NodePtr ParsePower() {
     NodePtr base = ParseAwait();
     if (AtOp("**")) {
+      DepthGuard nest = Nest();
       auto node = Node::Internal("power");
       node->Add(std::move(base));
       node->AddLeaf(Take());
@@ -776,13 +832,16 @@ class Parser {
 
   NodePtr ParseAtomExpr() {
     NodePtr atom = ParseAtom();
+    DepthGuard chain = Nest(0);
     while (true) {
       if (AtOp("(")) {
+        chain.Add();
         auto call = Node::Internal("call");
         call->Add(std::move(atom));
         call->Add(ParseCallArgs());
         atom = std::move(call);
       } else if (AtOp("[")) {
+        chain.Add();
         auto sub = Node::Internal("subscript");
         sub->Add(std::move(atom));
         sub->AddLeaf(Take());
@@ -790,6 +849,7 @@ class Parser {
         sub->AddLeaf(ExpectOp("]"));
         atom = std::move(sub);
       } else if (AtOp(".") && Peek(1).Is(TokenType::kName)) {
+        chain.Add();
         auto attr = Node::Internal("attribute");
         attr->Add(std::move(atom));
         attr->AddLeaf(Take());
@@ -1054,6 +1114,8 @@ class Parser {
   std::vector<Token> tokens_;
   size_t pos_ = 0;
   bool lenient_;
+  int nesting_ = 0;  ///< expression levels held (<= kMaxNesting)
+  int indent_ = 0;   ///< indented blocks entered (<= kMaxIndent)
 };
 
 Result<NodePtr> ParseWithMode(std::string_view source, bool lenient) {

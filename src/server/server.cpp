@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <mutex>
+#include <type_traits>
 
 #include "common/clock.hpp"
 #include "common/json.hpp"
@@ -76,7 +77,7 @@ bool TenantCanSee(const std::string& requester, const std::string& row_tenant) {
   return owner == kDefaultTenant || owner == requester;
 }
 
-/// Boundary validation of /execute run options (the bugfix sweep): every
+/// Boundary validation of /execute run options: every
 /// numeric knob is type-, range- and finiteness-checked *before* any value
 /// is cast into RunOptions, so NaN/negative deadlines or zero batch sizes
 /// can never reach the mapping layer's int64 casts and divide-style loops.
@@ -86,28 +87,19 @@ Status ValidateRunOptions(const Value& body) {
     return Status::InvalidArgument("invalid run option '" + std::string(field) +
                                    "': " + std::string(why));
   };
-  auto check_number = [&](std::string_view field, double lo,
-                          double hi) -> Status {
+  // Integer bounds also require a whole number.
+  auto check = [&](std::string_view field, auto lo, auto hi) -> Status {
+    constexpr bool integer = std::is_integral_v<decltype(lo)>;
     const Value& v = body.at(field);
     if (v.is_null()) return Status::Ok();  // absent -> default applies
-    if (!v.is_number()) return bad(field, "must be a number");
-    const double d = v.as_double();
-    if (!std::isfinite(d)) return bad(field, "must be finite");
-    if (d < lo || d > hi) {
-      return bad(field, "out of range [" + std::to_string(lo) + ", " +
-                            std::to_string(hi) + "]");
+    if (!v.is_number()) {
+      return bad(field, integer ? "must be an integer" : "must be a number");
     }
-    return Status::Ok();
-  };
-  auto check_integer = [&](std::string_view field, int64_t lo,
-                           int64_t hi) -> Status {
-    const Value& v = body.at(field);
-    if (v.is_null()) return Status::Ok();
-    if (!v.is_number()) return bad(field, "must be an integer");
     const double d = v.as_double();
-    if (!std::isfinite(d) || d != std::floor(d)) {
-      return bad(field, "must be an integer");
+    if (!std::isfinite(d)) {
+      return bad(field, integer ? "must be an integer" : "must be finite");
     }
+    if (integer && d != std::floor(d)) return bad(field, "must be an integer");
     if (d < static_cast<double>(lo) || d > static_cast<double>(hi)) {
       return bad(field, "out of range [" + std::to_string(lo) + ", " +
                             std::to_string(hi) + "]");
@@ -120,21 +112,21 @@ Status ValidateRunOptions(const Value& body) {
   constexpr double kMaxMs = 9.0e12;
   for (std::string_view f :
        {"deadline_ms", "send_batch_max_delay_ms", "retry_backoff_ms"}) {
-    Status st = check_number(f, 0.0, kMaxMs);
+    Status st = check(f, 0.0, kMaxMs);
     if (!st.ok()) return st;
   }
   // Counts: strictly positive and bounded.
   for (std::string_view f : {"processes", "initial_workers", "max_workers"}) {
-    Status st = check_integer(f, 1, 4096);
+    Status st = check(f, 1, 4096);
     if (!st.ok()) return st;
   }
   for (std::string_view f : {"send_batch_size", "recv_batch_size"}) {
-    Status st = check_integer(f, 1, 1 << 20);
+    Status st = check(f, 1, 1 << 20);
     if (!st.ok()) return st;
   }
-  Status st = check_integer("max_retries", 0, 1000);
+  Status st = check("max_retries", 0, 1000);
   if (!st.ok()) return st;
-  return check_integer("priority", -100, 100);
+  return check("priority", -100, 100);
 }
 
 /// Class name of the first class definition in the code (the registered PE's
@@ -160,9 +152,9 @@ std::string ExtractClassName(const std::string& code) {
   return name;
 }
 
-/// Per-phase ingest instrumentation (ISSUE 5): encode = the off-lock
-/// prepare work (summaries, embeddings, SPT featurization), commit = the
-/// exclusive-lock row insert + index upsert.
+/// Ingest instrumentation: encode = the off-lock prepare work (summaries,
+/// embeddings, SPT featurization), commit = the exclusive-lock row insert
+/// + index upsert.
 telemetry::Histogram& IngestHistogram(const char* phase) {
   return telemetry::MetricsRegistry::Global().GetHistogram(
       "laminar_server_ingest_ms",
@@ -175,48 +167,117 @@ telemetry::Counter& IngestCounter(const char* phase) {
       std::string("phase=\"") + phase + "\"");
 }
 
-/// Endpoints that only read registry/search state. These run under a shared
-/// lock so any number of them proceed concurrently; everything else takes
-/// the lock exclusively. /users/login is a mutation (it mints a token).
-/// The ingest endpoints (/pes/register, /workflows/register,
-/// /registry/bulk_register, the update_description pair) and /registry/save
-/// never reach this routing: they manage their own two-phase locking in
-/// HandleInternal (prepare under a shared lock, disk writes off-lock,
-/// short exclusive commit).
-bool IsReadOnlyEndpoint(const std::string& path) {
-  static constexpr std::string_view kReadOnly[] = {
-      "/pes/get", "/pes/describe", "/workflows/get", "/workflows/describe",
-      "/workflows/pes", "/workflows/executions", "/registry/list",
-      "/search/literal", "/search/semantic", "/search/code",
-      "/search/complete", "/stats"};
-  for (std::string_view ro : kReadOnly) {
-    if (path == ro) return true;
+/// Counts one ingest phase and times it for as long as it lives.
+class IngestPhase {
+ public:
+  explicit IngestPhase(const char* phase)
+      : span_(std::string("ingest.") + phase, &IngestHistogram(phase)) {
+    IngestCounter(phase).Inc();
   }
-  return false;
+
+ private:
+  telemetry::ScopedSpan span_;
+};
+
+void Reply(net::StreamResponder& out, int status, const Value& body) {
+  out.SendChunk(body.ToJson());
+  out.End(status);
 }
 
-/// Label value for per-endpoint metrics: the path itself for known
-/// endpoints, "other" for the rest so unknown paths cannot grow the label
-/// set without bound.
-std::string_view CanonicalPath(const std::string& path) {
-  static constexpr std::string_view kKnown[] = {
-      "/health", "/metrics", "/stats", "/execute", "/resources/upload",
-      "/users/register", "/users/login", "/pes/register", "/pes/get",
-      "/pes/describe", "/pes/update_description", "/pes/remove",
-      "/workflows/register", "/workflows/get", "/workflows/describe",
-      "/workflows/pes", "/workflows/executions",
-      "/workflows/update_description", "/workflows/remove",
-      "/registry/list", "/registry/remove_all", "/registry/save",
-      "/registry/load", "/registry/bulk_register", "/search/literal",
-      "/search/semantic", "/search/code", "/search/complete",
-      "/replication/snapshot", "/replication/fetch", "/replication/status"};
-  for (std::string_view known : kKnown) {
-    if (path == known) return known;
-  }
-  return "other";
+void ReplyError(net::StreamResponder& out, const Status& st) {
+  Reply(out, StatusToHttp(st), ErrorBody(st));
 }
+
+/// Whether `tenant` may see search hit `id` of `target`.
+bool HitVisible(registry::Repository& repo, const std::string& tenant,
+                search::SearchTarget target, int64_t id) {
+  if (tenant == kDefaultTenant) return true;
+  if (target == search::SearchTarget::kWorkflow) {
+    Result<registry::WorkflowRecord> wf = repo.GetWorkflow(id);
+    return wf.ok() && TenantCanSee(tenant, wf->tenant);
+  }
+  Result<registry::PeRecord> pe = repo.GetPe(id);
+  return pe.ok() && TenantCanSee(tenant, pe->tenant);
+}
+
+/// {"hits":[...]} over the hits `tenant` may see; recommendation hits also
+/// carry their similar code and occurrence count.
+template <typename Hit>
+Value HitsJson(registry::Repository& repo, const std::string& tenant,
+               search::SearchTarget target, const std::vector<Hit>& hits) {
+  Value arr = Value::MakeArray();
+  for (const Hit& hit : hits) {
+    if (!HitVisible(repo, tenant, target, hit.id)) continue;
+    Value h = Value::MakeObject();
+    h["id"] = hit.id;
+    h["name"] = hit.name;
+    h["description"] = hit.description;
+    h["score"] = hit.score;
+    if constexpr (std::is_same_v<Hit, search::RecommendationHit>) {
+      h["similarCode"] = hit.similar_code;
+      h["occurrences"] = static_cast<int64_t>(hit.occurrences);
+    }
+    arr.push_back(std::move(h));
+  }
+  Value resp = Value::MakeObject();
+  resp["hits"] = std::move(arr);
+  return resp;
+}
+
+size_t Limit(const Value& body, int64_t fallback = 0) {
+  return static_cast<size_t>(body.GetInt("limit", fallback));
+}
+
+// ── Route policy columns (see the table in LaminarServer::FindRoute).
+enum class Body { kJson, kRaw };
+/// On a follower: kAlways serves; kServe serves subject to the
+/// max_replica_lag_ms 503; the kRefuse* kinds answer 421 + the leader's
+/// address and differ only in the reason they give.
+enum class Follower { kAlways, kServe, kRefuse, kRefuseUpload, kRefuseChained };
+/// kRateGated resolves the tenant and spends one of its rate tokens.
+enum class Admission { kExempt, kRateGated };
+/// The registry lock held around the handler; kSelf handlers lock mu_
+/// themselves where they need it (two-phase ingest, off-lock disk writes,
+/// streamed runs) or not at all.
+enum class Lock { kShared, kExclusive, kSelf };
+
+std::string_view RefusalReason(Follower follower) {
+  switch (follower) {
+    case Follower::kRefuseUpload:
+      return "replica is read-only; upload resources to the leader";
+    case Follower::kRefuseChained:
+      // A follower has no WAL of its own to ship.
+      return "this node is itself a replica; replicate from the leader";
+    default:
+      return "replica is read-only; send mutations and /execute to the leader";
+  }
+}
+
+/// A handler's answer: the 200 body, an error status (replied with its HTTP
+/// code), or Responded() once the handler wrote its own response — a
+/// stream, a raw body, or a success other than 200.
+using Answer = Result<Value>;
+Answer Responded() { return Value(); }
+
+/// What a handler is called with. `tenant` is empty on admission-exempt
+/// routes.
+struct Call {
+  const net::HttpRequest& request;
+  const Value& body;
+  const std::string& tenant;
+  net::StreamResponder& out;
+};
 
 }  // namespace
+
+struct LaminarServer::Route {
+  std::string_view path;  ///< also the metrics label
+  Body body;
+  Follower follower;
+  Admission admission;
+  Lock lock;
+  Answer (*handler)(LaminarServer& self, const Call& call);
+};
 
 LaminarServer::LaminarServer(ServerConfig config)
     : config_(std::move(config)),
@@ -314,14 +375,9 @@ net::StreamHandler LaminarServer::HandlerFn() {
   };
 }
 
-void LaminarServer::Reply(net::StreamResponder& out, int status,
-                          const Value& body) {
-  out.SendChunk(body.ToJson());
-  out.End(status);
-}
-
 int64_t LaminarServer::AuthUser(const net::HttpRequest& request) {
   std::string token = request.headers.GetString("authorization");
+  std::shared_lock lock(mu_);
   if (!token.empty()) {
     auto it = tokens_.find(token);
     if (it != tokens_.end()) return it->second;
@@ -373,8 +429,7 @@ Result<LaminarServer::PreparedPeReg> LaminarServer::PreparePeRegistration(
   }
   pe.type = pe_obj.GetString("type", "IterativePE");
   // One encode + one SPT featurization, shared by the stored columns and
-  // the search indexes (the old path parsed the code twice: once for the
-  // column, once inside the index add).
+  // the search indexes.
   prepared.index = search_.PreparePe(pe.name, pe.description,
                                      /*stored_embedding_json=*/"", pe.code);
   pe.description_embedding = embed::ToJson(prepared.index.text_embedding);
@@ -431,15 +486,17 @@ Status LaminarServer::ApplyReplicatedRecords(
     const std::string table = record.GetString("table");
     const std::string op = record.GetString("op");
     const int64_t id = record.GetInt("id", 0);
+    const bool pe = table == registry::kPeTable;
+    const bool indexed = pe || table == registry::kWorkflowTable;
     // An erase drops the row before we can ask who owned it, so capture the
     // owning tenant first to keep admission row counts in step.
     std::string erased_tenant;
-    if (op == "erase" && table == registry::kPeTable) {
-      Result<registry::PeRecord> pe = repo_.GetPe(id);
-      if (pe.ok()) erased_tenant = std::string(RowTenant(pe->tenant));
-    } else if (op == "erase" && table == registry::kWorkflowTable) {
-      Result<registry::WorkflowRecord> wf = repo_.GetWorkflow(id);
-      if (wf.ok()) erased_tenant = std::string(RowTenant(wf->tenant));
+    if (op == "erase" && pe) {
+      Result<registry::PeRecord> row = repo_.GetPe(id);
+      if (row.ok()) erased_tenant = std::string(RowTenant(row->tenant));
+    } else if (op == "erase" && indexed) {
+      Result<registry::WorkflowRecord> row = repo_.GetWorkflow(id);
+      if (row.ok()) erased_tenant = std::string(RowTenant(row->tenant));
     }
     Status st = db_.ApplyWalRecord(record);
     if (!st.ok()) return st;
@@ -448,38 +505,30 @@ Status LaminarServer::ApplyReplicatedRecords(
       full_reindex = true;
       continue;
     }
+    if (!indexed) continue;
     // Incremental index maintenance mirrors what the leader's registration
     // paths do, reading the freshly applied row back from the repository —
     // stored embeddings are preferred over re-encoding, so a follower's
     // vectors are bit-identical to the leader's (the parity gate's basis).
-    if (table == registry::kPeTable) {
-      if (op == "insert") {
-        (void)search_.AddPe(id);
-        const std::string tenant(
-            RowTenant(record.at("data").GetString("tenant")));
-        admission_.OnPesChanged(tenant, 1);
-      } else if (op == "update") {
-        search_.RemovePe(id);
-        (void)search_.AddPe(id);
-      } else if (op == "erase") {
-        search_.RemovePe(id);
-        if (!erased_tenant.empty()) admission_.OnPesChanged(erased_tenant, -1);
-      }
-    } else if (table == registry::kWorkflowTable) {
-      if (op == "insert") {
-        (void)search_.AddWorkflow(id);
-        const std::string tenant(
-            RowTenant(record.at("data").GetString("tenant")));
-        admission_.OnWorkflowsChanged(tenant, 1);
-      } else if (op == "update") {
-        search_.RemoveWorkflow(id);
-        (void)search_.AddWorkflow(id);
-      } else if (op == "erase") {
-        search_.RemoveWorkflow(id);
-        if (!erased_tenant.empty()) {
-          admission_.OnWorkflowsChanged(erased_tenant, -1);
-        }
-      }
+    auto add = [&] {
+      (void)(pe ? search_.AddPe(id) : search_.AddWorkflow(id));
+    };
+    auto remove = [&] {
+      pe ? search_.RemovePe(id) : search_.RemoveWorkflow(id);
+    };
+    auto count = [&](const std::string& tenant, int64_t delta) {
+      pe ? admission_.OnPesChanged(tenant, delta)
+         : admission_.OnWorkflowsChanged(tenant, delta);
+    };
+    if (op == "insert") {
+      add();
+      count(std::string(RowTenant(record.at("data").GetString("tenant"))), 1);
+    } else if (op == "update") {
+      remove();
+      add();
+    } else if (op == "erase") {
+      remove();
+      if (!erased_tenant.empty()) count(erased_tenant, -1);
     }
   }
   if (full_reindex) {
@@ -527,10 +576,10 @@ Value LaminarServer::ReplicationStatusJson() const {
 void LaminarServer::HandleExecute(const Value& body, int64_t user_id,
                                   const std::string& tenant,
                                   net::StreamResponder& out) {
-  // Parse-boundary validation (bugfix): reject malformed run options with
-  // 400 + the field name before anything is cast into RunOptions.
+  // Reject malformed run options with 400 + the field name before anything
+  // is cast into RunOptions.
   if (Status valid = ValidateRunOptions(body); !valid.ok()) {
-    Reply(out, 400, ErrorBody(valid));
+    ReplyError(out, valid);
     return;
   }
   engine::ExecuteRequest req;
@@ -545,8 +594,7 @@ void LaminarServer::HandleExecute(const Value& body, int64_t user_id,
       }
       Result<Value> spec = json::Parse(wf->entry_point);
       if (!spec.ok()) {
-        Reply(out, 500,
-              ErrorBody(Status::Internal("workflow has no executable spec")));
+        ReplyError(out, Status::Internal("workflow has no executable spec"));
         return;
       }
       req.workflow_spec = std::move(spec.value());
@@ -554,9 +602,8 @@ void LaminarServer::HandleExecute(const Value& body, int64_t user_id,
     } else if (body.contains("spec")) {
       req.workflow_spec = body.at("spec");
     } else {
-      Reply(out, 400,
-            ErrorBody(Status::InvalidArgument(
-                "execute requires 'workflowId' or 'spec'")));
+      ReplyError(out, Status::InvalidArgument(
+                          "execute requires 'workflowId' or 'spec'"));
       return;
     }
   }
@@ -701,154 +748,36 @@ void LaminarServer::HandleExecute(const Value& body, int64_t user_id,
 
 void LaminarServer::Handle(const net::HttpRequest& request,
                            net::StreamResponder& out) {
+  const Route* route = FindRoute(request.path);
+  // Unknown paths share the path="other" label so the label set stays
+  // bounded.
   auto& reg = telemetry::MetricsRegistry::Global();
   std::string label = "path=\"";
-  label += CanonicalPath(request.path);
+  label += route != nullptr ? route->path : "other";
   label += '"';
   reg.GetCounter("laminar_server_requests_total", label).Inc();
   telemetry::ScopedSpan span(
       "server.request", &reg.GetHistogram("laminar_server_request_ms", label));
-  HandleInternal(request, out);
-}
-
-void LaminarServer::HandleInternal(const net::HttpRequest& request,
-                                   net::StreamResponder& out) {
-  const std::string& path = request.path;
-
-  // Prometheus text exposition (plain text, not a JSON reply).
-  if (path == "/metrics") {
-    out.SendChunk(telemetry::MetricsRegistry::Global().RenderPrometheus());
-    out.End(200);
-    return;
-  }
-
-  // Multipart endpoint first (binary body, not JSON). Tenant comes from the
-  // header alone here — there is no JSON body to carry the field.
-  if (path == "/resources/upload") {
-    if (repl_follower_ != nullptr) {
-      Value err = ErrorBody(Status::FailedPrecondition(
-          "replica is read-only; upload resources to the leader"));
-      err["leader"] = config_.replica_of;
-      Reply(out, 421, err);
-      return;
-    }
-    Result<std::string> upload_tenant =
-        ResolveTenant(request, Value::MakeObject());
-    if (!upload_tenant.ok()) {
-      Reply(out, 400, ErrorBody(upload_tenant.status()));
-      return;
-    }
-    double retry_after_ms = 0.0;
-    if (Status admit = admission_.AdmitRequest(upload_tenant.value(),
-                                               &retry_after_ms);
-        !admit.ok()) {
-      Value err = ErrorBody(admit);
-      err["retryAfterMs"] = retry_after_ms;
-      Reply(out, 429, err);
-      return;
-    }
-    Result<std::vector<net::FilePart>> parts =
-        net::DecodeMultipart(request.body);
-    if (!parts.ok()) {
-      Reply(out, 400, ErrorBody(parts.status()));
-      return;
-    }
-    Value resp = Value::MakeObject();
-    int64_t stored = 0;
-    for (net::FilePart& part : parts.value()) {
-      engine_.PutResource(part.name, std::move(part.content));
-      ++stored;
-    }
-    resp["stored"] = stored;
-    Reply(out, 200, resp);
+  if (route == nullptr) {
+    ReplyError(out,
+               Status::NotFound("unknown endpoint '" + request.path + "'"));
     return;
   }
 
   Value body = Value::MakeObject();
-  if (!request.body.empty()) {
+  if (route->body == Body::kJson && !request.body.empty()) {
     Result<Value> parsed = json::Parse(request.body);
     if (!parsed.ok()) {
-      Reply(out, 400, ErrorBody(parsed.status()));
+      ReplyError(out, parsed.status());
       return;
     }
     body = std::move(parsed.value());
   }
 
-  // Liveness probe: never rate-limited, so monitors keep working when a
-  // tenant floods the server.
-  if (path == "/health") {
-    Value resp = Value::MakeObject();
-    resp["status"] = "ok";
-    Reply(out, 200, resp);
-    return;
-  }
-
-  // ── Replication (admission-exempt like /health: per-tenant rate caps
-  // must never throttle the shipping stream that keeps replicas fresh, and
-  // status must stay observable under load).
-  if (path == "/replication/status") {
-    Reply(out, 200, ReplicationStatusJson());
-    return;
-  }
-  if (path == "/replication/snapshot" || path == "/replication/fetch") {
-    if (repl_follower_ != nullptr) {
-      // Chained replication is not supported: a follower has no WAL of its
-      // own to ship, so it points would-be followers at the real leader.
+  if (repl_follower_ != nullptr && route->follower != Follower::kAlways) {
+    if (route->follower != Follower::kServe) {
       Value err = ErrorBody(Status::FailedPrecondition(
-          "this node is itself a replica; replicate from the leader"));
-      err["leader"] = config_.replica_of;
-      Reply(out, 421, err);
-      return;
-    }
-    if (repl_hub_ == nullptr) {
-      Reply(out, 503,
-            ErrorBody(Status::Unavailable(
-                "replication requires a write-ahead log (start the leader "
-                "with a wal_path)")));
-      return;
-    }
-    if (path == "/replication/snapshot") {
-      // Same two-phase discipline as /registry/save: capture under a shared
-      // lock (cheap copy-on-read), serialize off-lock, and the response body
-      // IS the raw snapshot document — the exact bytes WriteSnapshot would
-      // persist, so followers reuse Database::LoadFromText unchanged.
-      registry::Database::Snapshot snapshot;
-      {
-        std::shared_lock lock(mu_);
-        snapshot = db_.CaptureSnapshot();
-      }
-      out.SendChunk(db_.SerializeSnapshot(snapshot));
-      out.End(200);
-      return;
-    }
-    const uint64_t from_seq =
-        static_cast<uint64_t>(body.GetInt("fromSeq", 0));
-    const size_t max_records =
-        static_cast<size_t>(body.GetInt("maxRecords", 512));
-    const int wait_ms = static_cast<int>(body.GetInt("waitMs", 0));
-    ReplicationHub::FetchResult fetched =
-        repl_hub_->Fetch(from_seq, max_records, wait_ms);
-    Value resp = Value::MakeObject();
-    Value lines = Value::MakeArray();
-    for (std::string& line : fetched.lines) {
-      lines.push_back(Value(std::move(line)));
-    }
-    resp["lines"] = std::move(lines);
-    resp["headSeq"] = static_cast<int64_t>(fetched.head_seq);
-    resp["needSnapshot"] = fetched.need_snapshot;
-    Reply(out, 200, resp);
-    return;
-  }
-
-  // ── Follower gate: a replica serves reads only. Mutations and /execute
-  // get 421 + the leader's address (the client maps it to a retry against
-  // the leader); when a bounded-staleness contract is configured, reads are
-  // refused with 503 until the follower has confirmed it is caught up
-  // within the window.
-  if (repl_follower_ != nullptr) {
-    if (!IsReadOnlyEndpoint(path)) {
-      Value err = ErrorBody(Status::FailedPrecondition(
-          "replica is read-only; send mutations and /execute to the leader"));
+          std::string(RefusalReason(route->follower))));
       err["leader"] = config_.replica_of;
       Reply(out, 421, err);
       return;
@@ -866,16 +795,16 @@ void LaminarServer::HandleInternal(const net::HttpRequest& request,
     }
   }
 
-  // Every remaining endpoint is tenant-attributed and rate-gated: the
-  // token bucket refuses with 429 + retryAfterMs before any lock is taken,
-  // so a flooding tenant burns its own budget, not server threads.
-  Result<std::string> tenant_r = ResolveTenant(request, body);
-  if (!tenant_r.ok()) {
-    Reply(out, 400, ErrorBody(tenant_r.status()));
-    return;
-  }
-  const std::string& tenant = tenant_r.value();
-  {
+  // The token bucket refuses with 429 + retryAfterMs before any lock is
+  // taken, so a flooding tenant burns its own budget, not server threads.
+  std::string tenant;
+  if (route->admission == Admission::kRateGated) {
+    Result<std::string> resolved = ResolveTenant(request, body);
+    if (!resolved.ok()) {
+      ReplyError(out, resolved.status());
+      return;
+    }
+    tenant = std::move(resolved.value());
     double retry_after_ms = 0.0;
     if (Status admit = admission_.AdmitRequest(tenant, &retry_after_ms);
         !admit.ok()) {
@@ -886,84 +815,257 @@ void LaminarServer::HandleInternal(const net::HttpRequest& request,
     }
   }
 
-  if (path == "/execute") {
-    int64_t user_id;
-    {
-      std::shared_lock lock(mu_);
-      user_id = AuthUser(request);
-    }
-    HandleExecute(body, user_id, tenant, out);
-    return;
+  std::shared_lock read_lock(mu_, std::defer_lock);
+  std::unique_lock write_lock(mu_, std::defer_lock);
+  if (route->lock == Lock::kShared) read_lock.lock();
+  if (route->lock == Lock::kExclusive) write_lock.lock();
+  Answer answer = route->handler(*this, Call{request, body, tenant, out});
+  if (!answer.ok()) {
+    ReplyError(out, answer.status());
+  } else if (!answer->is_null()) {
+    Reply(out, 200, answer.value());
   }
+}
 
-  // ── Ingest endpoints: two-phase (ISSUE 5). The expensive phase — CodeT5
-  // summaries, UniXcoder/ReACC encodes, SPT parse+featurization — runs on
-  // this request thread under only a *shared* lock, so concurrent
+// The route table: one row per endpoint, all POST with a JSON body unless
+// the row says kRaw. Handle() applies the columns in order — body parsing,
+// follower gate, admission, lock — and then calls the handler.
+const LaminarServer::Route* LaminarServer::FindRoute(std::string_view path) {
+  using enum Body;
+  using enum Follower;
+  using enum Admission;
+  using enum Lock;
+  using Self = LaminarServer;
+
+  // Handlers shared by an endpoint and its alias.
+  static constexpr auto get_pe = [](Self& self, const Call& c) -> Answer {
+    Result<registry::PeRecord> pe =
+        c.body.contains("id")
+            ? self.repo_.GetPe(c.body.GetInt("id"))
+            : self.repo_.GetPeByName(c.body.GetString("name"));
+    if (!pe.ok()) return pe.status();
+    if (!TenantCanSee(c.tenant, pe->tenant)) {
+      return Status::NotFound("no visible PE");
+    }
+    return self.PeToJson(pe.value(), /*with_code=*/true);
+  };
+  static constexpr auto get_wf = [](Self& self, const Call& c) -> Answer {
+    Result<registry::WorkflowRecord> wf =
+        c.body.contains("id")
+            ? self.repo_.GetWorkflow(c.body.GetInt("id"))
+            : self.repo_.GetWorkflowByName(c.body.GetString("name"));
+    if (!wf.ok()) return wf.status();
+    if (!TenantCanSee(c.tenant, wf->tenant)) {
+      return Status::NotFound("no visible workflow");
+    }
+    return self.WorkflowToJson(wf.value(), /*with_code=*/true);
+  };
+  // Encode off-lock; the code and SPT indexes depend only on the unchanged
+  // code, so the commit is a row update plus one text upsert.
+  static constexpr auto update_description =
+      [](Self& self, const Call& c, search::SearchTarget target) -> Answer {
+    const int64_t id = c.body.GetInt("id");
+    std::string description = c.body.GetString("description");
+    embed::Vector embedding;
+    {
+      IngestPhase phase("encode");
+      std::shared_lock lock(self.mu_);  // excludes Clear()'s engine swap
+      embedding = self.search_.text_encoder().EncodeText(description);
+    }
+    Value fields = Value::MakeObject();
+    fields["description"] = description;
+    fields["descriptionEmbedding"] = embed::ToJson(embedding);
+    Status st;
+    {
+      IngestPhase phase("commit");
+      std::scoped_lock lock(self.mu_);
+      const bool pe = target == search::SearchTarget::kPe;
+      st = pe ? self.repo_.UpdatePe(id, fields)
+              : self.repo_.UpdateWorkflow(id, fields);
+      if (st.ok() && pe) {
+        self.search_.UpdatePeDescription(id, std::move(description),
+                                         std::move(embedding));
+      } else if (st.ok()) {
+        self.search_.UpdateWorkflowDescription(id, std::move(description),
+                                               std::move(embedding));
+      }
+    }
+    if (!st.ok()) return st;
+    return Value::MakeObject();
+  };
+  // /replication/snapshot and /replication/fetch need the leader's WAL ring.
+  static constexpr auto no_hub = [] {
+    return Status::Unavailable(
+        "replication requires a write-ahead log (start the leader with a "
+        "wal_path)");
+  };
+
+  // Liveness probe: never rate-limited, so monitors keep working when a
+  // tenant floods the server.
+  static constexpr auto health = [](Self&, const Call&) -> Answer {
+    Value resp = Value::MakeObject();
+    resp["status"] = "ok";
+    return resp;
+  };
+  // Prometheus text exposition (plain text, not a JSON reply).
+  static constexpr auto metrics = [](Self&, const Call& c) -> Answer {
+    c.out.SendChunk(telemetry::MetricsRegistry::Global().RenderPrometheus());
+    c.out.End(200);
+    return Responded();
+  };
+  // Replication is admission-exempt: per-tenant rate caps must never
+  // throttle the shipping stream that keeps replicas fresh, and status
+  // must stay observable under load.
+  static constexpr auto repl_status = [](Self& self, const Call&) -> Answer {
+    return self.ReplicationStatusJson();
+  };
+  // Same two-phase discipline as /registry/save: capture under a shared
+  // lock, serialize off-lock. The body IS the raw snapshot document, the
+  // exact bytes WriteSnapshot would persist, so followers reuse
+  // Database::LoadFromText unchanged.
+  static constexpr auto snapshot = [](Self& self, const Call& c) -> Answer {
+    if (self.repl_hub_ == nullptr) return no_hub();
+    registry::Database::Snapshot snapshot;
+    {
+      std::shared_lock lock(self.mu_);
+      snapshot = self.db_.CaptureSnapshot();
+    }
+    c.out.SendChunk(self.db_.SerializeSnapshot(snapshot));
+    c.out.End(200);
+    return Responded();
+  };
+  static constexpr auto fetch = [](Self& self, const Call& c) -> Answer {
+    if (self.repl_hub_ == nullptr) return no_hub();
+    const uint64_t from_seq =
+        static_cast<uint64_t>(c.body.GetInt("fromSeq", 0));
+    const size_t max_records =
+        static_cast<size_t>(c.body.GetInt("maxRecords", 512));
+    const int wait_ms = static_cast<int>(c.body.GetInt("waitMs", 0));
+    ReplicationHub::FetchResult fetched =
+        self.repl_hub_->Fetch(from_seq, max_records, wait_ms);
+    Value resp = Value::MakeObject();
+    Value lines = Value::MakeArray();
+    for (std::string& line : fetched.lines) {
+      lines.push_back(Value(std::move(line)));
+    }
+    resp["lines"] = std::move(lines);
+    resp["headSeq"] = static_cast<int64_t>(fetched.head_seq);
+    resp["needSnapshot"] = fetched.need_snapshot;
+    return resp;
+  };
+  static constexpr auto execute = [](Self& self, const Call& c) -> Answer {
+    self.HandleExecute(c.body, self.AuthUser(c.request), c.tenant, c.out);
+    return Responded();
+  };
+  // Multipart body; the tenant comes from the header alone here, as
+  // there is no JSON body to carry the field.
+  static constexpr auto upload = [](Self& self, const Call& c) -> Answer {
+    Result<std::vector<net::FilePart>> parts =
+        net::DecodeMultipart(c.request.body);
+    if (!parts.ok()) return parts.status();
+    Value resp = Value::MakeObject();
+    int64_t stored = 0;
+    for (net::FilePart& part : parts.value()) {
+      self.engine_.PutResource(part.name, std::move(part.content));
+      ++stored;
+    }
+    resp["stored"] = stored;
+    return resp;
+  };
+  static constexpr auto new_user = [](Self& self, const Call& c) -> Answer {
+    Result<int64_t> id = self.repo_.CreateUser(
+        c.body.GetString("userName"), c.body.GetString("password"));
+    if (!id.ok()) return id.status();
+    Value resp = Value::MakeObject();
+    resp["userId"] = id.value();
+    return resp;
+  };
+  // A mutation: login mints a token.
+  static constexpr auto login = [](Self& self, const Call& c) -> Answer {
+    Result<registry::UserRecord> user =
+        self.repo_.GetUserByName(c.body.GetString("userName"));
+    if (!user.ok() || user->password != c.body.GetString("password")) {
+      return Status::PermissionDenied("bad username or password");
+    }
+    std::string token = "tok-" + std::to_string(self.next_token_++);
+    self.tokens_[token] = user->id;
+    Value resp = Value::MakeObject();
+    resp["token"] = token;
+    resp["userId"] = user->id;
+    return resp;
+  };
+  // ── Ingest endpoints are two-phase. The expensive phase (CodeT5
+  // summaries, UniXcoder/ReACC encodes, SPT parse+featurization) runs on
+  // the request thread under only a *shared* lock, so concurrent
   // registrations overlap their model inference (and every search) and
   // serialize only on the short exclusive commit (row insert +
   // precomputed-vector upsert). The shared hold is still required: the
   // encoders are const, but /registry/load and /registry/remove_all
   // replace them via search_.Clear() under the exclusive lock, and the
   // prepare must not overlap that swap.
-
-  if (path == "/pes/register") {
+  static constexpr auto register_pe = [](Self& self, const Call& c) -> Answer {
     // Advisory quota check before the expensive encode; the commit
     // re-checks authoritatively under the exclusive lock.
-    if (Status quota = admission_.AdmitPes(tenant, 1); !quota.ok()) {
-      Reply(out, StatusToHttp(quota), ErrorBody(quota));
-      return;
+    if (Status quota = self.admission_.AdmitPes(c.tenant, 1); !quota.ok()) {
+      return quota;
     }
     Result<PreparedPeReg> prepared = [&] {
-      telemetry::ScopedSpan span("ingest.encode", &IngestHistogram("encode"));
-      IngestCounter("encode").Inc();
-      std::shared_lock lock(mu_);
-      return PreparePeRegistration(body, tenant);
+      IngestPhase phase("encode");
+      std::shared_lock lock(self.mu_);
+      return self.PreparePeRegistration(c.body, c.tenant);
     }();
-    if (!prepared.ok()) {
-      Reply(out, StatusToHttp(prepared.status()),
-            ErrorBody(prepared.status()));
-      return;
-    }
-    // Response fields, captured before the commit consumes the record: the
-    // exclusive lock drops before the reply, so a repository read-back here
-    // could race a concurrent /pes/remove of the freshly minted id.
+    if (!prepared.ok()) return prepared.status();
+    // Response fields, captured before the commit consumes the record:
+    // the exclusive lock drops before the reply, so a repository
+    // read-back here could race a concurrent /pes/remove of the new id.
     registry::PeRecord reply_record;
     reply_record.name = prepared->record.name;
     reply_record.description = prepared->record.description;
     reply_record.type = prepared->record.type;
     Result<int64_t> id = [&]() -> Result<int64_t> {
-      telemetry::ScopedSpan span("ingest.commit", &IngestHistogram("commit"));
-      IngestCounter("commit").Inc();
-      std::scoped_lock lock(mu_);
-      return CommitPeRegistration(std::move(prepared.value()));
+      IngestPhase phase("commit");
+      std::scoped_lock lock(self.mu_);
+      return self.CommitPeRegistration(std::move(prepared.value()));
     }();
-    if (!id.ok()) {
-      Reply(out, StatusToHttp(id.status()), ErrorBody(id.status()));
-      return;
-    }
+    if (!id.ok()) return id.status();
     reply_record.id = id.value();
-    Reply(out, 200, PeToJson(reply_record, /*with_code=*/false));
-    return;
-  }
-
-  if (path == "/workflows/register") {
+    return self.PeToJson(reply_record, /*with_code=*/false);
+  };
+  static constexpr auto describe_pe = [](Self& self, const Call& c) -> Answer {
+    return update_description(self, c, search::SearchTarget::kPe);
+  };
+  static constexpr auto remove_pe = [](Self& self, const Call& c) -> Answer {
+    int64_t id = c.body.GetInt("id");
+    // Look up the record first: cross-tenant removals 404 like any
+    // other invisible row, and a successful removal must decrement the
+    // *owning* tenant's row count, not the requester's.
+    Result<registry::PeRecord> pe = self.repo_.GetPe(id);
+    if (!pe.ok() || !TenantCanSee(c.tenant, pe->tenant)) {
+      return pe.ok() ? Status::NotFound("no PE with id " + std::to_string(id))
+                     : pe.status();
+    }
+    Status st = self.repo_.RemovePe(id);
+    if (!st.ok()) return st;
+    self.search_.RemovePe(id);
+    self.admission_.OnPesChanged(std::string(RowTenant(pe->tenant)), -1);
+    return Value::MakeObject();
+  };
+  static constexpr auto register_wf = [](Self& self, const Call& c) -> Answer {
+    const Value& body = c.body;
+    const std::string& tenant = c.tenant;
     registry::WorkflowRecord wf;
-    {
-      std::shared_lock lock(mu_);
-      wf.user_id = AuthUser(request);
-    }
+    wf.user_id = self.AuthUser(c.request);
     wf.tenant = tenant;
-    // Advisory quota checks before any model inference runs; the exclusive
-    // commit section re-checks both authoritatively.
-    if (Status quota = admission_.AdmitWorkflows(tenant, 1); !quota.ok()) {
-      Reply(out, StatusToHttp(quota), ErrorBody(quota));
-      return;
+    // Advisory quota checks before any model inference runs; the
+    // exclusive commit section re-checks both authoritatively.
+    if (Status quota = self.admission_.AdmitWorkflows(tenant, 1);
+        !quota.ok()) {
+      return quota;
     }
-    if (Status quota = admission_.AdmitPes(
+    if (Status quota = self.admission_.AdmitPes(
             tenant, static_cast<int64_t>(body.at("pes").size()));
         !quota.ok()) {
-      Reply(out, StatusToHttp(quota), ErrorBody(quota));
-      return;
+      return quota;
     }
     wf.name = body.GetString("name");
     wf.code = body.GetString("code");
@@ -971,111 +1073,188 @@ void LaminarServer::HandleInternal(const net::HttpRequest& request,
                          ? body.at("spec").ToJson()
                          : body.GetString("spec");
     if (wf.name.empty()) {
-      Reply(out, 400,
-            ErrorBody(Status::InvalidArgument("workflow requires 'name'")));
-      return;
+      return Status::InvalidArgument("workflow requires 'name'");
     }
-    // Phase 1: prepare every member PE, synthesize the workflow description
-    // from the *prepared* PE descriptions (identical to what the commit
-    // will store), then encode/featurize the workflow itself.
+    // Phase 1: prepare every member PE, synthesize the workflow
+    // description from the *prepared* PE descriptions (identical to
+    // what the commit will store), then encode/featurize the workflow.
     std::vector<PreparedPeReg> member_pes;
     std::vector<std::string> pe_descriptions;
     search::SearchService::PreparedWorkflow wf_index;
     {
-      telemetry::ScopedSpan span("ingest.encode", &IngestHistogram("encode"));
-      IngestCounter("encode").Inc();
-      std::shared_lock lock(mu_);  // excludes Clear()'s engine swap
+      IngestPhase phase("encode");
+      std::shared_lock lock(self.mu_);  // excludes Clear()'s engine swap
       for (const Value& pe_obj : body.at("pes").as_array()) {
-        Result<PreparedPeReg> prepared = PreparePeRegistration(pe_obj, tenant);
-        if (!prepared.ok()) {
-          Reply(out, StatusToHttp(prepared.status()),
-                ErrorBody(prepared.status()));
-          return;
-        }
+        Result<PreparedPeReg> prepared =
+            self.PreparePeRegistration(pe_obj, tenant);
+        if (!prepared.ok()) return prepared.status();
         pe_descriptions.push_back(prepared->record.description);
         member_pes.push_back(std::move(prepared.value()));
       }
       wf.description = body.GetString("description");
       if (wf.description.empty()) {
         // §IV-C: workflow descriptions synthesized from their PEs.
-        wf.description = codet5_.SummarizeWorkflow(wf.name, pe_descriptions);
+        wf.description =
+            self.codet5_.SummarizeWorkflow(wf.name, pe_descriptions);
       }
-      wf_index = search_.PrepareWorkflow(wf.name, wf.description,
-                                         /*stored_embedding_json=*/"",
-                                         wf.code);
+      wf_index = self.search_.PrepareWorkflow(
+          wf.name, wf.description, /*stored_embedding_json=*/"", wf.code);
       wf.description_embedding = embed::ToJson(wf_index.text_embedding);
       if (!wf.code.empty()) {
-        Result<spt::FeatureBag> features = search_.aroma().Featurize(wf.code);
+        Result<spt::FeatureBag> features =
+            self.search_.aroma().Featurize(wf.code);
         if (features.ok()) {
           wf.spt_embedding = spt::FeatureBagToJson(features.value());
         }
       }
     }
-    // Phase 2: one exclusive section commits the PEs, the workflow row, the
-    // membership links and the precomputed workflow vectors.
+    // Phase 2: one exclusive section commits the PEs, the workflow
+    // row, the membership links and the precomputed workflow vectors.
     Value resp = Value::MakeObject();
     {
-      telemetry::ScopedSpan span("ingest.commit", &IngestHistogram("commit"));
-      IngestCounter("commit").Inc();
-      std::scoped_lock lock(mu_);
+      IngestPhase phase("commit");
+      std::scoped_lock lock(self.mu_);
       std::vector<int64_t> pe_ids;
       pe_ids.reserve(member_pes.size());
       for (PreparedPeReg& prepared : member_pes) {
-        Result<int64_t> pe_id = CommitPeRegistration(std::move(prepared));
-        if (!pe_id.ok()) {
-          Reply(out, StatusToHttp(pe_id.status()), ErrorBody(pe_id.status()));
-          return;
-        }
+        Result<int64_t> pe_id =
+            self.CommitPeRegistration(std::move(prepared));
+        if (!pe_id.ok()) return pe_id.status();
         pe_ids.push_back(pe_id.value());
       }
-      if (Status quota = admission_.AdmitWorkflows(tenant, 1); !quota.ok()) {
-        Reply(out, StatusToHttp(quota), ErrorBody(quota));
-        return;
+      if (Status quota = self.admission_.AdmitWorkflows(tenant, 1);
+          !quota.ok()) {
+        return quota;
       }
-      Result<int64_t> wf_id = repo_.CreateWorkflow(wf);
-      if (!wf_id.ok()) {
-        Reply(out, StatusToHttp(wf_id.status()), ErrorBody(wf_id.status()));
-        return;
-      }
-      admission_.OnWorkflowsChanged(tenant, 1);
+      Result<int64_t> wf_id = self.repo_.CreateWorkflow(wf);
+      if (!wf_id.ok()) return wf_id.status();
+      self.admission_.OnWorkflowsChanged(tenant, 1);
       for (int64_t pe_id : pe_ids) {
-        (void)repo_.LinkPe(wf_id.value(), pe_id);  // both rows just created
+        (void)self.repo_.LinkPe(wf_id.value(), pe_id);  // both just made
       }
-      search_.CommitWorkflow(wf_id.value(), std::move(wf_index));
+      self.search_.CommitWorkflow(wf_id.value(), std::move(wf_index));
       resp["workflowId"] = wf_id.value();
       Value ids = Value::MakeArray();
       for (int64_t pe_id : pe_ids) ids.push_back(pe_id);
       resp["peIds"] = std::move(ids);
     }
-    Reply(out, 200, resp);
-    return;
-  }
-
-  if (path == "/registry/bulk_register") {
-    if (!body.at("pes").is_array() || body.at("pes").size() == 0) {
-      Reply(out, 400,
-            ErrorBody(Status::InvalidArgument(
-                "bulk_register requires a non-empty 'pes' array")));
-      return;
+    return resp;
+  };
+  static constexpr auto workflow_pes = [](Self& self, const Call& c) -> Answer {
+    Value resp = Value::MakeObject();
+    Value arr = Value::MakeArray();
+    for (const registry::PeRecord& pe :
+         self.repo_.PesOfWorkflow(c.body.GetInt("id"))) {
+      arr.push_back(self.PeToJson(pe, /*with_code=*/false));
     }
-    const auto& pe_objs = body.at("pes").as_array();
+    resp["pes"] = std::move(arr);
+    return resp;
+  };
+  static constexpr auto executions = [](Self& self, const Call& c) -> Answer {
+    Value resp = Value::MakeObject();
+    Value arr = Value::MakeArray();
+    for (const registry::ExecutionRecord& e :
+         self.repo_.ExecutionsOfWorkflow(c.body.GetInt("id"))) {
+      Value x = Value::MakeObject();
+      x["executionId"] = e.id;
+      x["mapping"] = e.mapping;
+      x["status"] = e.status;
+      x["startedAtMs"] = e.started_at_ms;
+      x["finishedAtMs"] = e.finished_at_ms;
+      arr.push_back(std::move(x));
+    }
+    resp["executions"] = std::move(arr);
+    return resp;
+  };
+  static constexpr auto describe_wf = [](Self& self, const Call& c) -> Answer {
+    return update_description(self, c, search::SearchTarget::kWorkflow);
+  };
+  static constexpr auto remove_wf = [](Self& self, const Call& c) -> Answer {
+    int64_t id = c.body.GetInt("id");
+    Result<registry::WorkflowRecord> wf = self.repo_.GetWorkflow(id);
+    if (!wf.ok() || !TenantCanSee(c.tenant, wf->tenant)) {
+      return wf.ok() ? Status::NotFound("no workflow with id " +
+                                        std::to_string(id))
+                     : wf.status();
+    }
+    Status st = self.repo_.RemoveWorkflow(id);
+    if (!st.ok()) return st;
+    self.search_.RemoveWorkflow(id);
+    self.admission_.OnWorkflowsChanged(
+        std::string(RowTenant(wf->tenant)), -1);
+    return Value::MakeObject();
+  };
+  static constexpr auto list = [](Self& self, const Call& c) -> Answer {
+    Value resp = Value::MakeObject();
+    Value pes = Value::MakeArray();
+    for (const registry::PeRecord& pe : self.repo_.AllPes()) {
+      if (!TenantCanSee(c.tenant, pe.tenant)) continue;
+      pes.push_back(self.PeToJson(pe, /*with_code=*/false));
+    }
+    Value wfs = Value::MakeArray();
+    for (const registry::WorkflowRecord& wf : self.repo_.AllWorkflows()) {
+      if (!TenantCanSee(c.tenant, wf.tenant)) continue;
+      wfs.push_back(self.WorkflowToJson(wf, /*with_code=*/false));
+    }
+    resp["pes"] = std::move(pes);
+    resp["workflows"] = std::move(wfs);
+    return resp;
+  };
+  static constexpr auto clear = [](Self& self, const Call&) -> Answer {
+    (void)self.repo_.RemoveAll();
+    self.search_.Clear();
+    self.ResetTenantRowCounts();  // everything gone -> row quotas reset
+    return Value::MakeObject();
+  };
+  // Capture under a shared lock (row copies, or cached text for tables
+  // unchanged since the last save), then serialize and write with no
+  // lock held: searches and registrations keep flowing during disk I/O.
+  static constexpr auto save = [](Self& self, const Call& c) -> Answer {
+    std::string file = c.body.GetString("path");
+    if (file.empty()) return Status::InvalidArgument("save requires 'path'");
+    registry::Database::Snapshot snapshot;
+    {
+      std::shared_lock lock(self.mu_);
+      snapshot = self.db_.CaptureSnapshot();
+    }
+    Status st = self.db_.WriteSnapshot(std::move(snapshot), file);
+    if (!st.ok()) return st;
+    return Value::MakeObject();
+  };
+  static constexpr auto load = [](Self& self, const Call& c) -> Answer {
+    Status st = self.db_.LoadFromFile(c.body.GetString("path"));
+    if (st.ok()) st = self.search_.ReindexAll(self.ingest_pool_.get());
+    if (!st.ok()) return st;
+    self.ResetTenantRowCounts();  // loaded rows replace all row counts
+    Value resp = Value::MakeObject();
+    resp["pes"] = self.repo_.PeCount();
+    resp["workflows"] = self.repo_.WorkflowCount();
+    return resp;
+  };
+  static constexpr auto bulk = [](Self& self, const Call& c) -> Answer {
+    if (!c.body.at("pes").is_array() || c.body.at("pes").size() == 0) {
+      return Status::InvalidArgument(
+          "bulk_register requires a non-empty 'pes' array");
+    }
+    const auto& pe_objs = c.body.at("pes").as_array();
     const size_t n = pe_objs.size();
     std::vector<std::unique_ptr<PreparedPeReg>> prepared(n);
     std::vector<std::string> prepare_errors(n);
     {
-      telemetry::ScopedSpan span("ingest.encode", &IngestHistogram("encode"));
-      IngestCounter("encode").Inc();
-      // Items are independent and prepare touches only const encoder state,
-      // so the fan-out needs no per-item locking. The shared lock held here
-      // across the whole fan-out is what makes that safe: it keeps the
-      // exclusive-lock holders that replace the engines (search_.Clear()
-      // from /registry/load and /registry/remove_all) out until every pool
+      IngestPhase phase("encode");
+      // Items are independent and prepare touches only const encoder
+      // state, so the fan-out needs no per-item locking. The shared
+      // lock held across the whole fan-out keeps the exclusive-lock
+      // holders that replace the engines (search_.Clear() from
+      // /registry/load and /registry/remove_all) out until every pool
       // worker is done reading them.
-      std::shared_lock lock(mu_);
-      ParallelFor(ingest_pool_.get(), n, [&](size_t i) {
-        Result<PreparedPeReg> r = PreparePeRegistration(pe_objs[i], tenant);
+      std::shared_lock lock(self.mu_);
+      ParallelFor(self.ingest_pool_.get(), n, [&](size_t i) {
+        Result<PreparedPeReg> r =
+            self.PreparePeRegistration(pe_objs[i], c.tenant);
         if (r.ok()) {
-          prepared[i] = std::make_unique<PreparedPeReg>(std::move(r.value()));
+          prepared[i] =
+              std::make_unique<PreparedPeReg>(std::move(r.value()));
         } else {
           prepare_errors[i] = r.status().ToString();
         }
@@ -1085,26 +1264,27 @@ void LaminarServer::HandleInternal(const net::HttpRequest& request,
     Value errors = Value::MakeArray();
     int64_t registered = 0;
     int64_t quota_rejected = 0;
-    auto record_error = [&errors](size_t index, const std::string& message) {
+    auto record_error = [&errors](size_t index,
+                                  const std::string& message) {
       Value e = Value::MakeObject();
       e["index"] = static_cast<int64_t>(index);
       e["error"] = message;
       errors.push_back(std::move(e));
     };
     {
-      telemetry::ScopedSpan span("ingest.commit", &IngestHistogram("commit"));
-      IngestCounter("commit").Inc();
-      std::scoped_lock lock(mu_);
+      IngestPhase phase("commit");
+      std::scoped_lock lock(self.mu_);
       // Bulk mode: the vector indexes defer per-Upsert ANN graph
       // maintenance across the commit loop; EndBulkIndexing then builds
       // each graph once, fanning the level inserts over the ingest pool.
-      search_.BeginBulkIndexing();
+      self.search_.BeginBulkIndexing();
       for (size_t i = 0; i < n; ++i) {
         if (prepared[i] == nullptr) {
           record_error(i, prepare_errors[i]);
           continue;
         }
-        Result<int64_t> id = CommitPeRegistration(std::move(*prepared[i]));
+        Result<int64_t> id =
+            self.CommitPeRegistration(std::move(*prepared[i]));
         if (!id.ok()) {
           if (id.status().code() == StatusCode::kResourceExhausted) {
             ++quota_rejected;
@@ -1116,8 +1296,8 @@ void LaminarServer::HandleInternal(const net::HttpRequest& request,
         ++registered;
       }
       Stopwatch build_watch;
-      search_.EndBulkIndexing(ingest_pool_.get());
-      // Same gauge ReindexAll sets: the latest bulk index-build duration.
+      self.search_.EndBulkIndexing(self.ingest_pool_.get());
+      // Same gauge ReindexAll sets: the latest bulk index-build time.
       telemetry::MetricsRegistry::Global()
           .GetGauge("laminar_search_bulk_build_ms")
           .Set(static_cast<int64_t>(build_watch.ElapsedMillis()));
@@ -1126,356 +1306,83 @@ void LaminarServer::HandleInternal(const net::HttpRequest& request,
     resp["peIds"] = std::move(ids);
     resp["registered"] = registered;
     resp["errors"] = std::move(errors);
-    // Per-item quota errors ride in `errors`; only a batch where *nothing*
-    // registered because of quotas is itself a 429 (so partial successes
-    // stay 200 and the client can inspect which items were rejected).
-    Reply(out,
-          (registered == 0 && quota_rejected > 0) ? 429 : 200,
-          resp);
-    return;
-  }
-
-  if (path == "/pes/update_description" ||
-      path == "/workflows/update_description") {
-    const int64_t id = body.GetInt("id");
-    std::string description = body.GetString("description");
-    // Phase 1: encode off-lock. The code and SPT indexes depend only on the
-    // unchanged code, so the commit is a row update plus one text upsert —
-    // no removal/re-add round trip.
-    embed::Vector embedding;
-    {
-      telemetry::ScopedSpan span("ingest.encode", &IngestHistogram("encode"));
-      IngestCounter("encode").Inc();
-      std::shared_lock lock(mu_);  // excludes Clear()'s engine swap
-      embedding = search_.text_encoder().EncodeText(description);
+    // Per-item quota errors ride in `errors`; only a batch where
+    // *nothing* registered because of quotas is itself a 429 (so
+    // partial successes stay 200 and the client can inspect which
+    // items were rejected).
+    if (registered == 0 && quota_rejected > 0) {
+      Reply(c.out, 429, resp);
+      return Responded();
     }
-    Value fields = Value::MakeObject();
-    fields["description"] = description;
-    fields["descriptionEmbedding"] = embed::ToJson(embedding);
-    Status st;
-    {
-      telemetry::ScopedSpan span("ingest.commit", &IngestHistogram("commit"));
-      IngestCounter("commit").Inc();
-      std::scoped_lock lock(mu_);
-      if (path == "/pes/update_description") {
-        st = repo_.UpdatePe(id, fields);
-        if (st.ok()) {
-          search_.UpdatePeDescription(id, std::move(description),
-                                      std::move(embedding));
-        }
-      } else {
-        st = repo_.UpdateWorkflow(id, fields);
-        if (st.ok()) {
-          search_.UpdateWorkflowDescription(id, std::move(description),
-                                            std::move(embedding));
-        }
-      }
+    return resp;
+  };
+  // Search hits are post-filtered to rows the tenant may see; the shared
+  // lock keeps those repository lookups consistent with the index.
+  static constexpr auto literal = [](Self& self, const Call& c) -> Answer {
+    const search::SearchTarget target = ParseTarget(c.body);
+    return HitsJson(self.repo_, c.tenant, target,
+                    self.search_.LiteralSearch(c.body.GetString("term"),
+                                               target, Limit(c.body)));
+  };
+  static constexpr auto semantic = [](Self& self, const Call& c) -> Answer {
+    const search::SearchTarget target = ParseTarget(c.body);
+    return HitsJson(self.repo_, c.tenant, target,
+                    self.search_.SemanticSearch(c.body.GetString("query"),
+                                                target, Limit(c.body)));
+  };
+  static constexpr auto code_search = [](Self& self, const Call& c) -> Answer {
+    const search::SearchTarget target = ParseTarget(c.body);
+    const std::string code = c.body.GetString("code");
+    if (c.body.GetString("embedding_type", "spt") == "llm") {
+      return HitsJson(self.repo_, c.tenant, target,
+                      self.search_.CodeSearchLlm(code, target, Limit(c.body)));
     }
-    if (!st.ok()) {
-      Reply(out, StatusToHttp(st), ErrorBody(st));
-      return;
-    }
-    Reply(out, 200, Value::MakeObject());
-    return;
-  }
-
-  if (path == "/registry/save") {
-    std::string file = body.GetString("path");
-    if (file.empty()) {
-      Reply(out, 400,
-            ErrorBody(Status::InvalidArgument("save requires 'path'")));
-      return;
-    }
-    // Capture under a shared lock (row copies, or cached text for tables
-    // unchanged since the last save), then serialize and write with no lock
-    // held: searches and registrations keep flowing while disk I/O runs.
-    registry::Database::Snapshot snapshot;
-    {
-      std::shared_lock lock(mu_);
-      snapshot = db_.CaptureSnapshot();
-    }
-    Status st = db_.WriteSnapshot(std::move(snapshot), file);
-    if (!st.ok()) {
-      Reply(out, StatusToHttp(st), ErrorBody(st));
-      return;
-    }
-    Reply(out, 200, Value::MakeObject());
-    return;
-  }
-
-  // Read-only endpoints share the lock (searches run concurrently with each
-  // other); mutations serialize behind an exclusive hold.
-  std::shared_lock<std::shared_mutex> read_lock(mu_, std::defer_lock);
-  std::unique_lock<std::shared_mutex> write_lock(mu_, std::defer_lock);
-  if (IsReadOnlyEndpoint(path)) {
-    read_lock.lock();
-  } else {
-    write_lock.lock();
-  }
-
-  if (path == "/users/register") {
-    Result<int64_t> id = repo_.CreateUser(body.GetString("userName"),
-                                          body.GetString("password"));
-    if (!id.ok()) {
-      Reply(out, StatusToHttp(id.status()), ErrorBody(id.status()));
-      return;
-    }
-    Value resp = Value::MakeObject();
-    resp["userId"] = id.value();
-    Reply(out, 200, resp);
-    return;
-  }
-
-  if (path == "/users/login") {
-    Result<registry::UserRecord> user =
-        repo_.GetUserByName(body.GetString("userName"));
-    if (!user.ok() || user->password != body.GetString("password")) {
-      Reply(out, 401,
-            ErrorBody(Status::PermissionDenied("bad username or password")));
-      return;
-    }
-    std::string token = "tok-" + std::to_string(next_token_++);
-    tokens_[token] = user->id;
-    Value resp = Value::MakeObject();
-    resp["token"] = token;
-    resp["userId"] = user->id;
-    Reply(out, 200, resp);
-    return;
-  }
-
-  if (path == "/pes/get" || path == "/pes/describe") {
-    Result<registry::PeRecord> pe =
-        body.contains("id") ? repo_.GetPe(body.GetInt("id"))
-                            : repo_.GetPeByName(body.GetString("name"));
-    if (!pe.ok() || !TenantCanSee(tenant, pe->tenant)) {
-      Reply(out, 404,
-            ErrorBody(pe.ok() ? Status::NotFound("no visible PE")
-                              : pe.status()));
-      return;
-    }
-    Reply(out, 200, PeToJson(pe.value(), /*with_code=*/true));
-    return;
-  }
-
-  if (path == "/pes/remove") {
-    int64_t id = body.GetInt("id");
-    // Look up the record first: cross-tenant removals 404 like any other
-    // invisible row, and a successful removal must decrement the *owning*
-    // tenant's row count, not the requester's.
-    Result<registry::PeRecord> pe = repo_.GetPe(id);
-    if (!pe.ok() || !TenantCanSee(tenant, pe->tenant)) {
-      Reply(out, 404,
-            ErrorBody(pe.ok() ? Status::NotFound("no PE with id " +
-                                                 std::to_string(id))
-                              : pe.status()));
-      return;
-    }
-    Status st = repo_.RemovePe(id);
-    if (!st.ok()) {
-      Reply(out, StatusToHttp(st), ErrorBody(st));
-      return;
-    }
-    search_.RemovePe(id);
-    admission_.OnPesChanged(std::string(RowTenant(pe->tenant)), -1);
-    Reply(out, 200, Value::MakeObject());
-    return;
-  }
-
-  if (path == "/workflows/get" || path == "/workflows/describe") {
-    Result<registry::WorkflowRecord> wf =
-        body.contains("id")
-            ? repo_.GetWorkflow(body.GetInt("id"))
-            : repo_.GetWorkflowByName(body.GetString("name"));
-    if (!wf.ok() || !TenantCanSee(tenant, wf->tenant)) {
-      Reply(out, 404,
-            ErrorBody(wf.ok() ? Status::NotFound("no visible workflow")
-                              : wf.status()));
-      return;
-    }
-    Reply(out, 200, WorkflowToJson(wf.value(), /*with_code=*/true));
-    return;
-  }
-
-  if (path == "/workflows/pes") {
+    Result<std::vector<search::RecommendationHit>> recs =
+        self.search_.CodeRecommendation(code, target, Limit(c.body));
+    if (!recs.ok()) return recs.status();
+    return HitsJson(self.repo_, c.tenant, target, recs.value());
+  };
+  static constexpr auto complete = [](Self& self, const Call& c) -> Answer {
+    Result<std::vector<spt::Completion>> completions =
+        self.search_.CodeCompletion(c.body.GetString("code"),
+                                    Limit(c.body, 3));
+    if (!completions.ok()) return completions.status();
     Value resp = Value::MakeObject();
     Value arr = Value::MakeArray();
-    for (const registry::PeRecord& pe :
-         repo_.PesOfWorkflow(body.GetInt("id"))) {
-      arr.push_back(PeToJson(pe, /*with_code=*/false));
-    }
-    resp["pes"] = std::move(arr);
-    Reply(out, 200, resp);
-    return;
-  }
-
-  if (path == "/workflows/executions") {
-    Value resp = Value::MakeObject();
-    Value arr = Value::MakeArray();
-    for (const registry::ExecutionRecord& e :
-         repo_.ExecutionsOfWorkflow(body.GetInt("id"))) {
-      Value x = Value::MakeObject();
-      x["executionId"] = e.id;
-      x["mapping"] = e.mapping;
-      x["status"] = e.status;
-      x["startedAtMs"] = e.started_at_ms;
-      x["finishedAtMs"] = e.finished_at_ms;
-      arr.push_back(std::move(x));
-    }
-    resp["executions"] = std::move(arr);
-    Reply(out, 200, resp);
-    return;
-  }
-
-  if (path == "/workflows/remove") {
-    int64_t id = body.GetInt("id");
-    Result<registry::WorkflowRecord> wf = repo_.GetWorkflow(id);
-    if (!wf.ok() || !TenantCanSee(tenant, wf->tenant)) {
-      Reply(out, 404,
-            ErrorBody(wf.ok() ? Status::NotFound("no workflow with id " +
-                                                 std::to_string(id))
-                              : wf.status()));
-      return;
-    }
-    Status st = repo_.RemoveWorkflow(id);
-    if (!st.ok()) {
-      Reply(out, StatusToHttp(st), ErrorBody(st));
-      return;
-    }
-    search_.RemoveWorkflow(id);
-    admission_.OnWorkflowsChanged(std::string(RowTenant(wf->tenant)), -1);
-    Reply(out, 200, Value::MakeObject());
-    return;
-  }
-
-  if (path == "/registry/list") {
-    Value resp = Value::MakeObject();
-    Value pes = Value::MakeArray();
-    for (const registry::PeRecord& pe : repo_.AllPes()) {
-      if (!TenantCanSee(tenant, pe.tenant)) continue;
-      pes.push_back(PeToJson(pe, /*with_code=*/false));
-    }
-    Value wfs = Value::MakeArray();
-    for (const registry::WorkflowRecord& wf : repo_.AllWorkflows()) {
-      if (!TenantCanSee(tenant, wf.tenant)) continue;
-      wfs.push_back(WorkflowToJson(wf, /*with_code=*/false));
-    }
-    resp["pes"] = std::move(pes);
-    resp["workflows"] = std::move(wfs);
-    Reply(out, 200, resp);
-    return;
-  }
-
-  if (path == "/registry/remove_all") {
-    (void)repo_.RemoveAll();
-    search_.Clear();
-    ResetTenantRowCounts();  // everything gone -> all row quotas reset
-    Reply(out, 200, Value::MakeObject());
-    return;
-  }
-
-  if (path == "/search/literal" || path == "/search/semantic") {
-    std::vector<search::SearchHit> hits;
-    const search::SearchTarget target = ParseTarget(body);
-    size_t limit = static_cast<size_t>(body.GetInt("limit", 0));
-    if (path == "/search/literal") {
-      hits = search_.LiteralSearch(body.GetString("term"), target, limit);
-    } else {
-      hits = search_.SemanticSearch(body.GetString("query"), target, limit);
-    }
-    // Post-filter hits to rows this tenant may see (the shared lock held
-    // here keeps the repo lookups consistent with the index results).
-    auto visible = [&](int64_t id) {
-      if (tenant == kDefaultTenant) return true;
-      if (target == search::SearchTarget::kWorkflow) {
-        Result<registry::WorkflowRecord> wf = repo_.GetWorkflow(id);
-        return wf.ok() && TenantCanSee(tenant, wf->tenant);
-      }
-      Result<registry::PeRecord> pe = repo_.GetPe(id);
-      return pe.ok() && TenantCanSee(tenant, pe->tenant);
-    };
-    Value resp = Value::MakeObject();
-    Value arr = Value::MakeArray();
-    for (const search::SearchHit& hit : hits) {
-      if (!visible(hit.id)) continue;
+    for (const spt::Completion& comp : completions.value()) {
       Value h = Value::MakeObject();
-      h["id"] = hit.id;
-      h["name"] = hit.name;
-      h["description"] = hit.description;
-      h["score"] = hit.score;
-      arr.push_back(std::move(h));
-    }
-    resp["hits"] = std::move(arr);
-    Reply(out, 200, resp);
-    return;
-  }
-
-  if (path == "/search/complete") {
-    Result<std::vector<spt::Completion>> completions = search_.CodeCompletion(
-        body.GetString("code"),
-        static_cast<size_t>(body.GetInt("limit", 3)));
-    if (!completions.ok()) {
-      Reply(out, StatusToHttp(completions.status()),
-            ErrorBody(completions.status()));
-      return;
-    }
-    Value resp = Value::MakeObject();
-    Value arr = Value::MakeArray();
-    for (const spt::Completion& c : completions.value()) {
-      Value h = Value::MakeObject();
-      h["id"] = c.snippet_id;
-      Result<registry::PeRecord> pe = repo_.GetPe(c.snippet_id);
-      if (pe.ok() && !TenantCanSee(tenant, pe->tenant)) continue;
+      h["id"] = comp.snippet_id;
+      Result<registry::PeRecord> pe = self.repo_.GetPe(comp.snippet_id);
+      if (pe.ok() && !TenantCanSee(c.tenant, pe->tenant)) continue;
       if (pe.ok()) h["name"] = pe->name;
-      h["score"] = c.score;
-      h["continuation"] = c.continuation;
+      h["score"] = comp.score;
+      h["continuation"] = comp.continuation;
       arr.push_back(std::move(h));
     }
     resp["completions"] = std::move(arr);
-    Reply(out, 200, resp);
-    return;
-  }
-
-  if (path == "/registry/load") {
-    std::string file = body.GetString("path");
-    Status st = db_.LoadFromFile(file);
-    if (!st.ok()) {
-      Reply(out, StatusToHttp(st), ErrorBody(st));
-      return;
-    }
-    st = search_.ReindexAll(ingest_pool_.get());
-    if (!st.ok()) {
-      Reply(out, StatusToHttp(st), ErrorBody(st));
-      return;
-    }
-    ResetTenantRowCounts();  // loaded rows replace all per-tenant counts
+    return resp;
+  };
+  static constexpr auto stats = [](Self& self, const Call&) -> Answer {
     Value resp = Value::MakeObject();
-    resp["pes"] = repo_.PeCount();
-    resp["workflows"] = repo_.WorkflowCount();
-    Reply(out, 200, resp);
-    return;
-  }
-
-  if (path == "/stats") {
-    Value resp = Value::MakeObject();
-    resp["pes"] = repo_.PeCount();
-    resp["workflows"] = repo_.WorkflowCount();
-    auto cache = engine_.resource_cache().stats();
+    resp["pes"] = self.repo_.PeCount();
+    resp["workflows"] = self.repo_.WorkflowCount();
+    auto cache = self.engine_.resource_cache().stats();
     resp["cache"]["hits"] = static_cast<int64_t>(cache.hits);
     resp["cache"]["misses"] = static_cast<int64_t>(cache.misses);
     resp["cache"]["bytesStored"] = static_cast<int64_t>(cache.bytes_stored);
-    auto broker_stats = engine_.broker().stats();
+    auto broker_stats = self.engine_.broker().stats();
     resp["broker"]["pushes"] = static_cast<int64_t>(broker_stats.pushes);
     resp["broker"]["pops"] = static_cast<int64_t>(broker_stats.pops);
-    resp["engine"]["warmInstances"] = engine_.warm_instances();
-    auto query_cache = search_.query_cache_stats();
+    resp["engine"]["warmInstances"] = self.engine_.warm_instances();
+    auto query_cache = self.search_.query_cache_stats();
     resp["queryCache"]["hits"] = static_cast<int64_t>(query_cache.hits);
     resp["queryCache"]["misses"] = static_cast<int64_t>(query_cache.misses);
     resp["queryCache"]["entries"] =
         static_cast<int64_t>(query_cache.entries);
-    // Vector-index tier (ISSUE 6): the configured scan/ANN knobs plus a
+    // Vector-index tier: the configured scan/ANN knobs plus a
     // per-index footprint snapshot, so operators can see which indexes have
     // switched onto the ANN graph path and what it costs in memory.
-    const auto& vopts = search_.config().vector_index;
+    const auto& vopts = self.search_.config().vector_index;
     Value vi = Value::MakeObject();
     vi["parallelThreshold"] =
         static_cast<int64_t>(vopts.parallel_threshold);
@@ -1491,11 +1398,11 @@ void LaminarServer::HandleInternal(const net::HttpRequest& request,
     vi["quantize"] = vopts.quantize;
     vi["rerankOverfetch"] = vopts.rerank_overfetch;
     resp["search"]["vectorIndex"] = std::move(vi);
-    // Which kernel tier the dispatched dot products run on (ISSUE 10).
+    // Which kernel tier the dispatched dot products run on.
     resp["search"]["simd"]["tier"] =
         std::string(simd::TierName(simd::ActiveTier()));
     Value indexes = Value::MakeObject();
-    for (const auto& [name, istats] : search_.IndexStats()) {
+    for (const auto& [name, istats] : self.search_.IndexStats()) {
       Value one = Value::MakeObject();
       one["rows"] = static_cast<int64_t>(istats.rows);
       one["nodes"] = static_cast<int64_t>(istats.nodes);
@@ -1514,7 +1421,7 @@ void LaminarServer::HandleInternal(const net::HttpRequest& request,
     // so streamed totals and /stats totals cannot disagree.
     auto& reg = telemetry::MetricsRegistry::Global();
     Value totals = engine::ExecutionTotalsJson();
-    // Ingest totals (ISSUE 5): per-phase op counts and mean latency, plus
+    // Ingest totals: per-phase op counts and mean latency, plus
     // the duration of the last bulk index build.
     const auto encode = IngestHistogram("encode").snapshot();
     const auto commit = IngestHistogram("commit").snapshot();
@@ -1527,7 +1434,7 @@ void LaminarServer::HandleInternal(const net::HttpRequest& request,
     totals["ingest"]["bulkBuildMs"] =
         reg.GetGauge("laminar_search_bulk_build_ms").Value();
     resp["totals"] = std::move(totals);
-    // Transport tier (ISSUE 7): connection and byte counters from the TCP
+    // Transport tier: connection and byte counters from the TCP
     // listener/stream instrumentation. All zero when every client is on the
     // in-memory pipe transport.
     Value netv = Value::MakeObject();
@@ -1550,8 +1457,8 @@ void LaminarServer::HandleInternal(const net::HttpRequest& request,
     // with the run queue's scheduling snapshot, keyed by tenant name. The
     // runsSucceeded/runsFailed counters reconcile with the ##END## totals
     // each tenant's /execute streams observed.
-    Value tenants = admission_.StatsJson();
-    for (const auto& [name, qs] : run_queue_.Snapshot()) {
+    Value tenants = self.admission_.StatsJson();
+    for (const auto& [name, qs] : self.run_queue_.Snapshot()) {
       Value& t = tenants[name];
       t["runsAdmitted"] = static_cast<int64_t>(qs.admitted);
       t["runsRejected"] = static_cast<int64_t>(qs.rejected);
@@ -1561,12 +1468,12 @@ void LaminarServer::HandleInternal(const net::HttpRequest& request,
       t["vtime"] = qs.vtime;
     }
     resp["tenants"] = std::move(tenants);
-    resp["runQueue"]["slots"] = run_queue_.slots();
-    resp["runQueue"]["queued"] = static_cast<int64_t>(run_queue_.queued());
+    resp["runQueue"]["slots"] = self.run_queue_.slots();
+    resp["runQueue"]["queued"] = static_cast<int64_t>(self.run_queue_.queued());
     {
-      // Durability visibility (ISSUE 9 satellite): how far the log has been
+      // Durability visibility: how far the log has been
       // appended vs how far it is known durable on disk.
-      registry::WalStatus ws = db_.wal_status();
+      registry::WalStatus ws = self.db_.wal_status();
       Value wal = Value::MakeObject();
       wal["enabled"] = ws.enabled;
       wal["fsyncMode"] = ws.fsync_mode;
@@ -1576,65 +1483,52 @@ void LaminarServer::HandleInternal(const net::HttpRequest& request,
       wal["bytes"] = static_cast<int64_t>(ws.bytes);
       resp["wal"] = std::move(wal);
     }
-    resp["replication"] = ReplicationStatusJson();
+    resp["replication"] = self.ReplicationStatusJson();
     resp["metrics"] = reg.RenderJson();
     resp["trace"] = reg.trace().ToJson();
-    Reply(out, 200, resp);
-    return;
-  }
+    return resp;
+  };
 
-  if (path == "/search/code") {
-    std::string embedding_type = body.GetString("embedding_type", "spt");
-    const search::SearchTarget target = ParseTarget(body);
-    size_t limit = static_cast<size_t>(body.GetInt("limit", 0));
-    auto visible = [&](int64_t id) {
-      if (tenant == kDefaultTenant) return true;
-      if (target == search::SearchTarget::kWorkflow) {
-        Result<registry::WorkflowRecord> wf = repo_.GetWorkflow(id);
-        return wf.ok() && TenantCanSee(tenant, wf->tenant);
-      }
-      Result<registry::PeRecord> pe = repo_.GetPe(id);
-      return pe.ok() && TenantCanSee(tenant, pe->tenant);
-    };
-    Value resp = Value::MakeObject();
-    Value arr = Value::MakeArray();
-    if (embedding_type == "llm") {
-      for (const search::SearchHit& hit :
-           search_.CodeSearchLlm(body.GetString("code"), target, limit)) {
-        if (!visible(hit.id)) continue;
-        Value h = Value::MakeObject();
-        h["id"] = hit.id;
-        h["name"] = hit.name;
-        h["description"] = hit.description;
-        h["score"] = hit.score;
-        arr.push_back(std::move(h));
-      }
-    } else {
-      Result<std::vector<search::RecommendationHit>> recs =
-          search_.CodeRecommendation(body.GetString("code"), target, limit);
-      if (!recs.ok()) {
-        Reply(out, StatusToHttp(recs.status()), ErrorBody(recs.status()));
-        return;
-      }
-      for (const search::RecommendationHit& hit : recs.value()) {
-        if (!visible(hit.id)) continue;
-        Value h = Value::MakeObject();
-        h["id"] = hit.id;
-        h["name"] = hit.name;
-        h["description"] = hit.description;
-        h["score"] = hit.score;
-        h["similarCode"] = hit.similar_code;
-        h["occurrences"] = static_cast<int64_t>(hit.occurrences);
-        arr.push_back(std::move(h));
-      }
-    }
-    resp["hits"] = std::move(arr);
-    Reply(out, 200, resp);
-    return;
+  static const Route kRoutes[] = {
+      {"/health", kJson, kAlways, kExempt, kSelf, health},
+      {"/metrics", kRaw, kAlways, kExempt, kSelf, metrics},
+      {"/replication/status", kJson, kAlways, kExempt, kSelf, repl_status},
+      {"/replication/snapshot", kJson, kRefuseChained, kExempt, kSelf,
+       snapshot},
+      {"/replication/fetch", kJson, kRefuseChained, kExempt, kSelf, fetch},
+      {"/execute", kJson, kRefuse, kRateGated, kSelf, execute},
+      {"/resources/upload", kRaw, kRefuseUpload, kRateGated, kSelf, upload},
+      {"/users/register", kJson, kRefuse, kRateGated, kExclusive, new_user},
+      {"/users/login", kJson, kRefuse, kRateGated, kExclusive, login},
+      {"/pes/register", kJson, kRefuse, kRateGated, kSelf, register_pe},
+      {"/pes/get", kJson, kServe, kRateGated, kShared, get_pe},
+      {"/pes/describe", kJson, kServe, kRateGated, kShared, get_pe},
+      {"/pes/update_description", kJson, kRefuse, kRateGated, kSelf,
+       describe_pe},
+      {"/pes/remove", kJson, kRefuse, kRateGated, kExclusive, remove_pe},
+      {"/workflows/register", kJson, kRefuse, kRateGated, kSelf, register_wf},
+      {"/workflows/get", kJson, kServe, kRateGated, kShared, get_wf},
+      {"/workflows/describe", kJson, kServe, kRateGated, kShared, get_wf},
+      {"/workflows/pes", kJson, kServe, kRateGated, kShared, workflow_pes},
+      {"/workflows/executions", kJson, kServe, kRateGated, kShared, executions},
+      {"/workflows/update_description", kJson, kRefuse, kRateGated, kSelf,
+       describe_wf},
+      {"/workflows/remove", kJson, kRefuse, kRateGated, kExclusive, remove_wf},
+      {"/registry/list", kJson, kServe, kRateGated, kShared, list},
+      {"/registry/remove_all", kJson, kRefuse, kRateGated, kExclusive, clear},
+      {"/registry/save", kJson, kRefuse, kRateGated, kSelf, save},
+      {"/registry/load", kJson, kRefuse, kRateGated, kExclusive, load},
+      {"/registry/bulk_register", kJson, kRefuse, kRateGated, kSelf, bulk},
+      {"/search/literal", kJson, kServe, kRateGated, kShared, literal},
+      {"/search/semantic", kJson, kServe, kRateGated, kShared, semantic},
+      {"/search/code", kJson, kServe, kRateGated, kShared, code_search},
+      {"/search/complete", kJson, kServe, kRateGated, kShared, complete},
+      {"/stats", kJson, kServe, kRateGated, kShared, stats},
+  };
+  for (const Route& route : kRoutes) {
+    if (route.path == path) return &route;
   }
-
-  Reply(out, 404,
-        ErrorBody(Status::NotFound("unknown endpoint '" + path + "'")));
+  return nullptr;
 }
 
 }  // namespace laminar::server

@@ -11,41 +11,11 @@
 // concurrent searches run in parallel and never queue behind each other or
 // behind registry writes. Workflow execution runs outside the lock.
 //
-// Endpoints (all POST, JSON bodies):
-//   /users/register {userName,password}            -> {userId}
-//   /users/login    {userName,password}            -> {token,userId}
-//   /pes/register   {name?,code,description?}      -> {peId,name,description}
-//   /registry/bulk_register {pes:[{name?,code,description?},...]}
-//                                                  -> {peIds,registered,errors}
-//   /pes/get        {id|name}                      -> PE record
-//   /pes/describe   {id}                           -> {description,code}
-//   /pes/update_description {id,description}       -> {}
-//   /pes/remove     {id}                           -> {}
-//   /workflows/register {name,code?,spec,description?,pes:[...]}
-//                                                  -> {workflowId,peIds}
-//   /workflows/get  {id|name}                      -> workflow record
-//   /workflows/pes  {id}                           -> {pes:[...]}
-//   /workflows/update_description {id,description} -> {}
-//   /workflows/remove {id}                         -> {}
-//   /registry/list  {}                             -> {pes,workflows}
-//   /registry/remove_all {}                        -> {}
-//   /search/literal  {target,term,limit?}          -> {hits}
-//   /search/semantic {target,query,limit?}         -> {hits}
-//   /search/code     {target,code,embedding_type?,limit?} -> {hits}
-//   /resources/upload (multipart body)             -> {stored}
-//   /execute {workflowId|spec,mapping,input,processes,resources,verbose}
-//       -> streamed stdout lines, then "##END## {stats}" chunk whose
-//          "totals" object is read from the telemetry registry
-//          (HTTP 428 + {missing:[...]} when resources must be uploaded)
-//   /stats {}    -> registry counts + cache/broker/engine stats + telemetry
-//                   ("totals", "metrics", "trace") from the same registry
-//                   the ##END## chunk reads, so the two cannot disagree
-//   /metrics     -> Prometheus text exposition (GET; text/plain, not JSON)
-//   /health {}                                     -> {status:"ok"}
-//
-// Every request is counted into laminar_server_requests_total{path=...} and
-// timed into laminar_server_request_ms{path=...} (unknown paths collapse to
-// path="other" so the label set stays bounded).
+// Endpoints: the route table in server.cpp (LaminarServer::FindRoute) lists
+// every path with its body kind, follower, admission and lock policy. Every
+// request is counted into laminar_server_requests_total{path=...} and timed
+// into laminar_server_request_ms{path=...}; unknown paths answer 404 and
+// collapse to path="other" so the label set stays bounded.
 #pragma once
 
 #include <memory>
@@ -131,9 +101,13 @@ class LaminarServer {
   static constexpr std::string_view kEndMarker = "##END## ";
 
  private:
-  void Reply(net::StreamResponder& out, int status, const Value& body);
+  /// One row of the route table (server.cpp): an endpoint's path, body
+  /// kind, follower/admission/lock policy and handler.
+  struct Route;
+  /// The row for `path`, or null for an unknown endpoint.
+  static const Route* FindRoute(std::string_view path);
 
-  /// Two-phase registration (ISSUE 5). Prepare* runs the expensive work —
+  /// Two-phase registration. Prepare* runs the expensive work —
   /// CodeT5 summarization, UniXcoder/ReACC encodes, the SPT parse and
   /// featurization — on the request thread with NO registry lock held;
   /// Commit* inserts the row and upserts the precomputed vectors inside a
@@ -156,13 +130,11 @@ class LaminarServer {
   Value PeToJson(const registry::PeRecord& pe, bool with_code) const;
   Value WorkflowToJson(const registry::WorkflowRecord& wf,
                        bool with_code) const;
+  /// The user a request's token names, else the default user. Takes mu_
+  /// shared, so callers must not hold it.
   int64_t AuthUser(const net::HttpRequest& request);
 
-  // Endpoint implementations (registry lock held by caller where needed).
-  // Handle() is a thin telemetry wrapper (request counter + latency span)
-  // around the actual dispatch in HandleInternal().
-  void HandleInternal(const net::HttpRequest& request,
-                      net::StreamResponder& out);
+  /// The /execute handler body: validates, queues and streams one run.
   void HandleExecute(const Value& body, int64_t user_id,
                      const std::string& tenant, net::StreamResponder& out);
 
@@ -189,7 +161,7 @@ class LaminarServer {
   /// Helpers for bulk-ingest prepare fan-out (null when ingest_threads=0).
   std::unique_ptr<ThreadPool> ingest_pool_;
   /// Guards db_/repo_/search_/tokens_: shared for read-only endpoints,
-  /// exclusive for mutations (see IsReadOnlyEndpoint in server.cpp).
+  /// exclusive for mutations (each route's lock column in server.cpp).
   std::shared_mutex mu_;
   std::unordered_map<std::string, int64_t> tokens_;
   int64_t default_user_id_ = 0;

@@ -1,6 +1,7 @@
 #include "spt/features.hpp"
 
 #include <cmath>
+#include <deque>
 
 #include "common/hashing.hpp"
 
@@ -120,8 +121,8 @@ void CollectLocalsWalk(const SptNode& node,
 }
 
 struct Ancestor {
-  const SptNode* node;
-  size_t child_index;  // index of the element we descended through
+  const std::string* label;  // the node's Label(), computed once
+  size_t child_index;        // index of the element we descended through
 };
 
 class Extractor {
@@ -141,7 +142,7 @@ class Extractor {
     std::string generalized;
     std::string original;
     int line;
-    std::string parent_label;
+    const std::string* parent_label;  // owned by labels_
   };
 
   std::string Generalize(const std::string& text) const {
@@ -158,8 +159,8 @@ class Extractor {
   }
 
   void Walk(const SptNode& node) {
-    ancestors_.push_back({&node, 0});
-    std::string label = node.Label();
+    const std::string& label = labels_.emplace_back(node.Label());
+    ancestors_.push_back({&label, 0});
     for (size_t i = 0; i < node.elems.size(); ++i) {
       const SptElem& e = node.elems[i];
       ancestors_.back().child_index = i;
@@ -182,11 +183,11 @@ class Extractor {
          it != ancestors_.rend() && levels < opts_.parent_levels;
          ++it, ++levels) {
       Emit("P" + std::to_string(levels + 1) + ":" + gen + "|" +
-               std::to_string(it->child_index) + "|" + it->node->Label(),
+               std::to_string(it->child_index) + "|" + *it->label,
            token.line);
     }
     // Defer sibling + usage features until all tokens are known.
-    sites_.push_back(TokenSite{gen, token.text, token.line, parent_label});
+    sites_.push_back(TokenSite{gen, token.text, token.line, &parent_label});
   }
 
   void EmitSiblingAndUsageFeatures() {
@@ -201,7 +202,7 @@ class Extractor {
       if (!locals_.contains(site.original)) continue;
       auto [it, inserted] = last_use.try_emplace(site.original, &site);
       if (!inserted) {
-        Emit("V:" + it->second->parent_label + ">" + site.parent_label,
+        Emit("V:" + *it->second->parent_label + ">" + *site.parent_label,
              site.line);
         it->second = &site;
       }
@@ -211,6 +212,9 @@ class Extractor {
   FeatureOptions opts_;
   std::unordered_set<std::string> locals_;
   std::vector<Ancestor> ancestors_;
+  /// Every walked node's label, kept once for the token sites that name it
+  /// (a deque, so the references stay valid as it grows).
+  std::deque<std::string> labels_;
   std::vector<TokenSite> sites_;
   FeatureBag bag_;
 };

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "pycode/parser.hpp"
 
 namespace laminar::pycode {
@@ -258,6 +263,93 @@ TEST(ParseTree, TreeSizeCountsAllNodes) {
   ASSERT_TRUE(tree.ok());
   // module + assign + x + '=' + 1
   EXPECT_EQ(tree.value()->TreeSize(), 5u);
+}
+
+// ---- nesting limits: hostile depth is a parse error, never a crash ----
+
+std::string Repeat(std::string_view unit, int n) {
+  std::string out;
+  out.reserve(unit.size() * static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) out += unit;
+  return out;
+}
+
+/// One statement nested `depth` levels deep, in each shape that nests.
+std::vector<std::pair<std::string, std::string>> DeepShapes(int depth) {
+  return {
+      {"brackets", "x = " + Repeat("(", depth) + "1" + Repeat(")", depth)},
+      {"lists", "x = " + Repeat("[", depth) + "1" + Repeat("]", depth)},
+      {"calls", "x = " + Repeat("f(", depth) + "1" + Repeat(")", depth)},
+      {"minus", "x = " + Repeat("- ", depth) + "1"},
+      {"not", "x = " + Repeat("not ", depth) + "y"},
+      {"lambda", "x = " + Repeat("lambda: ", depth) + "1"},
+      {"power", "x = 2" + Repeat(" ** 2", depth)},
+      {"ternary", "x = " + Repeat("1 if y else ", depth) + "1"},
+      {"sum", "x = 1" + Repeat(" + 1", depth)},
+      {"call_chain", "x = f" + Repeat("()", depth)},
+      {"attribute_chain", "x = a" + Repeat(".b", depth)},
+      {"targets", "for " + Repeat("(", depth) + "a" + Repeat(")", depth) +
+                      " in y:\n    pass"},
+  };
+}
+
+/// Python needs one more leading space per level, so indentation depth
+/// costs depth^2/2 bytes of source; 2,000 levels is 2 MB.
+std::string DeepIndentation(int depth) {
+  std::string src;
+  for (int i = 0; i < depth; ++i) src += std::string(i, ' ') + "if y:\n";
+  src += std::string(depth, ' ') + "pass\n";
+  return src;
+}
+
+size_t TreeDepth(const Node& node) {
+  size_t deepest = 0;
+  for (const NodePtr& child : node.children) {
+    deepest = std::max(deepest, TreeDepth(*child));
+  }
+  return deepest + 1;
+}
+
+TEST(ParserLimits, DeepNestingIsAParseError) {
+  for (const auto& [shape, src] : DeepShapes(100'000)) {
+    Result<NodePtr> strict = Parse(src + "\n");
+    ASSERT_FALSE(strict.ok()) << shape;
+    EXPECT_EQ(strict.status().code(), StatusCode::kParseError) << shape;
+    EXPECT_NE(strict.status().message().find("nested too deeply"),
+              std::string::npos)
+        << shape << ": " << strict.status().ToString();
+  }
+  Result<NodePtr> indented = Parse(DeepIndentation(2'000));
+  ASSERT_FALSE(indented.ok());
+  EXPECT_NE(indented.status().message().find("indentation"),
+            std::string::npos)
+      << indented.status().ToString();
+}
+
+TEST(ParserLimits, LenientParseOfDeepNestingStaysShallow) {
+  std::vector<std::pair<std::string, std::string>> inputs = DeepShapes(100'000);
+  inputs.emplace_back("indentation", DeepIndentation(2'000));
+  for (const auto& [shape, src] : inputs) {
+    Result<NodePtr> tree = ParseLenient(src + "\n");
+    if (!tree.ok()) {
+      EXPECT_EQ(tree.status().code(), StatusCode::kParseError) << shape;
+      continue;
+    }
+    // The over-deep region falls back to flat fragments.
+    EXPECT_LT(TreeDepth(*tree.value()), 2'000u) << shape;
+  }
+}
+
+TEST(ParserLimits, ModerateNestingStillParses) {
+  // A nested call costs two levels (the call and its argument).
+  for (const auto& [shape, src] : DeepShapes(90)) {
+    EXPECT_TRUE(ParsesStrict(src + "\n")) << shape;
+  }
+  EXPECT_TRUE(ParsesStrict(DeepIndentation(100)));
+  EXPECT_FALSE(ParsesStrict(DeepIndentation(101)));
+  // A chain's operands do not nest; each further operand is one level.
+  EXPECT_TRUE(ParsesStrict("x = " + Repeat("a + ", 150) + "a\n"));
+  EXPECT_FALSE(ParsesStrict("x = " + Repeat("a + ", 250) + "a\n"));
 }
 
 }  // namespace

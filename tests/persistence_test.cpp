@@ -9,6 +9,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "common/json.hpp"
 #include "registry/database.hpp"
@@ -20,8 +21,13 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// Pid-unique: ctest runs this suite's tests one per process and, under
+/// the `faults` and `repl` labels, filtered whole-suite runs alongside them;
+/// shared file names would let one process's WAL leak into another's.
 std::string TempPath(const std::string& name) {
-  return (fs::temp_directory_path() / name).string();
+  return (fs::temp_directory_path() /
+          (std::to_string(::getpid()) + "_" + name))
+      .string();
 }
 
 std::string ReadAll(const std::string& path) {
@@ -55,6 +61,11 @@ class PersistenceTest : public ::testing::Test {
     fs::remove(snapshot_path_ + ".tmp");
     fs::remove(wal_path_);
     fs::remove(wal_path_ + ".tmp");
+  }
+
+  void TearDown() override {
+    fs::remove(snapshot_path_);
+    fs::remove(wal_path_);
   }
 
   std::string snapshot_path_;

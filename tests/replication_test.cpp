@@ -51,8 +51,17 @@ std::string PeCode(const std::string& cls) {
 class ReplicationTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    wal_path_ = TempPath("laminar_repl_wal.jsonl");
-    snapshot_path_ = TempPath("laminar_repl_snap.json");
+    // Pid-unique: ctest runs the whole suite and each of its tests as
+    // separate processes in parallel, and a shared WAL would leak one
+    // process's rows into another's leader.
+    const std::string tag = "laminar_repl_" + std::to_string(::getpid());
+    wal_path_ = TempPath(tag + "_wal.jsonl");
+    snapshot_path_ = TempPath(tag + "_snap.json");
+    fs::remove(wal_path_);
+    fs::remove(snapshot_path_);
+  }
+
+  void TearDown() override {
     fs::remove(wal_path_);
     fs::remove(snapshot_path_);
   }
@@ -354,12 +363,7 @@ TEST_F(ReplicationTest, SnapshotAndWalRecoverAndBootstrapIdentically) {
   // the same records and bit-identical semantic scores. The stored columns
   // (descriptionEmbedding, sptEmbedding) are read back, never re-encoded,
   // so any drift in how they were written or parsed shows up here.
-  // This test restarts the leader from its files, so it must not share
-  // them with the other tests in this suite, which ctest runs in parallel
-  // (each one's SetUp deletes the fixture's default paths).
   const std::string tag = "laminar_repl_compat_" + std::to_string(::getpid());
-  wal_path_ = TempPath(tag + "_wal.jsonl");
-  snapshot_path_ = TempPath(tag + "_snap.json");
   const std::string side_before = TempPath(tag + "_before.json");
   const std::string side_after = TempPath(tag + "_after.json");
   const std::vector<std::string> queries = {

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "client/connect.hpp"
 #include "client/demo_workflows.hpp"
@@ -172,6 +174,43 @@ TEST(ServerExtras, ExecuteRejectsGarbageResourcesField) {
   body["resources"] = "not an array";  // tolerated: treated as empty
   req.body = body.ToJson();
   auto resp = laminar.client_side->Call(req);
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp->first, 200);
+}
+
+// A deeply nested Python body is one small request; it must be answered
+// (200 or 400), not overflow the stack and kill the server for everyone.
+TEST(ServerExtras, DeeplyNestedCodeIsAnsweredNotACrash) {
+  InProcessLaminar laminar = ConnectInProcess(FastServer());
+  auto repeat = [](std::string_view unit, int n) {
+    std::string out;
+    for (int i = 0; i < n; ++i) out += unit;
+    return out;
+  };
+  constexpr int kDepth = 100'000;
+  const std::vector<std::string> shapes = {
+      "x = " + repeat("(", kDepth) + "1" + repeat(")", kDepth) + "\n",
+      "x = " + repeat("- ", kDepth) + "1\n",
+      "x = " + repeat("not ", kDepth) + "y\n",
+      "x = " + repeat("lambda: ", kDepth) + "1\n",
+  };
+  for (const std::string& code : shapes) {
+    for (const char* path : {"/pes/register", "/search/code",
+                             "/search/complete"}) {
+      Value body = Value::MakeObject();
+      body["code"] = code;
+      net::HttpRequest req;
+      req.path = path;
+      req.body = body.ToJson();
+      auto resp = laminar.client_side->Call(req);
+      ASSERT_TRUE(resp.ok()) << path;
+      EXPECT_TRUE(resp->first == 200 || resp->first == 400)
+          << path << " answered " << resp->first << " " << resp->second;
+    }
+  }
+  net::HttpRequest health;
+  health.path = "/health";
+  auto resp = laminar.client_side->Call(health);
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp->first, 200);
 }
