@@ -82,15 +82,15 @@ Result<UserRecord> Repository::GetUser(int64_t id) const {
   return u;
 }
 
-Result<int64_t> Repository::CreatePe(const PeRecord& pe) {
+Result<int64_t> Repository::CreatePe(PeRecord pe) {
   Row row = Value::MakeObject();
-  row["peName"] = pe.name;
-  row["description"] = pe.description;
-  row["descriptionEmbedding"] = pe.description_embedding;
-  row["peCode"] = pe.code;
-  row["sptEmbedding"] = pe.spt_embedding;
-  row["peType"] = pe.type;
-  row["tenant"] = pe.tenant;
+  row["peName"] = std::move(pe.name);
+  row["description"] = std::move(pe.description);
+  row["descriptionEmbedding"] = std::move(pe.description_embedding);
+  row["peCode"] = std::move(pe.code);
+  row["sptEmbedding"] = std::move(pe.spt_embedding);
+  row["peType"] = std::move(pe.type);
+  row["tenant"] = std::move(pe.tenant);
   return db_->Insert(kPeTable, std::move(row));
 }
 

@@ -68,7 +68,9 @@ class Repository {
   Result<UserRecord> GetUser(int64_t id) const;
 
   // Processing elements.
-  Result<int64_t> CreatePe(const PeRecord& pe);
+  /// Takes the record by value and moves its columns into the stored row,
+  /// so a caller done with the record passes it with std::move.
+  Result<int64_t> CreatePe(PeRecord pe);
   Result<PeRecord> GetPe(int64_t id) const;
   Result<PeRecord> GetPeByName(const std::string& name) const;
   Status UpdatePe(int64_t id, const Row& fields);

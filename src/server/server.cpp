@@ -440,16 +440,20 @@ Result<LaminarServer::PreparedPeReg> LaminarServer::PreparePeRegistration(
 }
 
 Result<int64_t> LaminarServer::CommitPeRegistration(PreparedPeReg prepared) {
+  Result<int64_t> id = InsertPeRow(prepared);
+  if (id.ok()) search_.CommitPe(id.value(), std::move(prepared.index));
+  return id;
+}
+
+Result<int64_t> LaminarServer::InsertPeRow(PreparedPeReg& prepared) {
   // Authoritative quota check: this runs under the exclusive lock, so the
   // check-then-increment is atomic even when the shared-lock advisory check
   // raced another registration.
   const std::string tenant = prepared.record.tenant;
   Status quota = admission_.AdmitPes(tenant, 1);
   if (!quota.ok()) return quota;
-  Result<int64_t> id = repo_.CreatePe(prepared.record);
-  if (!id.ok()) return id;
-  search_.CommitPe(id.value(), std::move(prepared.index));
-  admission_.OnPesChanged(tenant, 1);
+  Result<int64_t> id = repo_.CreatePe(std::move(prepared.record));
+  if (id.ok()) admission_.OnPesChanged(tenant, 1);
   return id;
 }
 
@@ -1275,16 +1279,19 @@ const LaminarServer::Route* LaminarServer::FindRoute(std::string_view path) {
       IngestPhase phase("commit");
       std::scoped_lock lock(self.mu_);
       // Bulk mode: the vector indexes defer per-Upsert ANN graph
-      // maintenance across the commit loop; EndBulkIndexing then builds
-      // each graph once, fanning the level inserts over the ingest pool.
+      // maintenance across the commit; EndBulkIndexing then builds each
+      // graph once, fanning the level inserts over the ingest pool. Rows
+      // are inserted one by one (ids stay in request order); the search
+      // state then commits as one batch whose row writes use the pool.
       self.search_.BeginBulkIndexing();
+      std::vector<search::SearchService::PeCommit> commits;
+      commits.reserve(n);
       for (size_t i = 0; i < n; ++i) {
         if (prepared[i] == nullptr) {
           record_error(i, prepare_errors[i]);
           continue;
         }
-        Result<int64_t> id =
-            self.CommitPeRegistration(std::move(*prepared[i]));
+        Result<int64_t> id = self.InsertPeRow(*prepared[i]);
         if (!id.ok()) {
           if (id.status().code() == StatusCode::kResourceExhausted) {
             ++quota_rejected;
@@ -1292,9 +1299,11 @@ const LaminarServer::Route* LaminarServer::FindRoute(std::string_view path) {
           record_error(i, id.status().ToString());
           continue;
         }
+        commits.push_back({id.value(), std::move(prepared[i]->index)});
         ids.push_back(id.value());
         ++registered;
       }
+      self.search_.CommitPes(commits, self.ingest_pool_.get());
       Stopwatch build_watch;
       self.search_.EndBulkIndexing(self.ingest_pool_.get());
       // Same gauge ReindexAll sets: the latest bulk index-build time.

@@ -122,6 +122,10 @@ class LaminarServer {
   /// Requires mu_ held exclusively. Enforces the tenant PE quota and keeps
   /// the admission controller's row counts in step with the repository.
   Result<int64_t> CommitPeRegistration(PreparedPeReg prepared);
+  /// The row half of CommitPeRegistration (quota, insert, row count): the
+  /// record is consumed and the caller commits `prepared.index` to search,
+  /// which lets /registry/bulk_register commit a whole batch at once.
+  Result<int64_t> InsertPeRow(PreparedPeReg& prepared);
   /// Rebuilds the admission controller's per-tenant row counts from the
   /// repository (after recovery, /registry/load, /registry/remove_all).
   /// Requires mu_ held exclusively (or constructor single-threadedness).

@@ -120,8 +120,30 @@ void CollectLocalsWalk(const SptNode& node,
   }
 }
 
+/// Longest node label a feature embeds verbatim. Every token's parent
+/// features and every variable-usage feature embed its ancestors' labels,
+/// and a node's label grows with its width, so a flat node of n tokens
+/// would cost O(n^2) bytes of feature text. A longer label is replaced,
+/// once per node, by a fixed-size digest of itself, which bounds the bytes
+/// hashed per token. Ordinary code never reaches the cap (the longest label
+/// over the generated 6,000-PE corpus and its truncated variants is 13
+/// characters), so its features are unchanged.
+constexpr size_t kMaxLabelChars = 256;
+
+std::string BoundedLabel(const SptNode& node) {
+  std::string label = node.Label();
+  if (label.size() <= kMaxLabelChars) return label;
+  static constexpr char kHex[] = "0123456789abcdef";
+  uint64_t h = hashing::Fnv1a64(label);
+  std::string digest = "#L" + std::to_string(label.size()) + ":";
+  for (int shift = 60; shift >= 0; shift -= 4) {
+    digest += kHex[(h >> shift) & 0xf];
+  }
+  return digest;
+}
+
 struct Ancestor {
-  const std::string* label;  // the node's Label(), computed once
+  const std::string* label;  // the node's BoundedLabel(), computed once
   size_t child_index;        // index of the element we descended through
 };
 
@@ -159,7 +181,7 @@ class Extractor {
   }
 
   void Walk(const SptNode& node) {
-    const std::string& label = labels_.emplace_back(node.Label());
+    const std::string& label = labels_.emplace_back(BoundedLabel(node));
     ancestors_.push_back({&label, 0});
     for (size_t i = 0; i < node.elems.size(); ++i) {
       const SptElem& e = node.elems[i];

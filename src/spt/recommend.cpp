@@ -40,13 +40,13 @@ Status AromaEngine::AddSnippet(int64_t id, std::string_view code) {
   return Status::Ok();
 }
 
-Status AromaEngine::AddSnippetWithFeatures(int64_t id, std::string_view code,
+Status AromaEngine::AddSnippetWithFeatures(int64_t id, std::string code,
                                            FeatureBag features) {
   if (features.total == 0) {
     return Status::InvalidArgument("snippet produced no features");
   }
   index_.Add(id, std::move(features));
-  sources_[id] = std::string(code);
+  sources_[id] = std::move(code);
   return Status::Ok();
 }
 

@@ -61,8 +61,9 @@ class AromaEngine {
   /// and hands the bag here, so committing never reparses. The bag must
   /// come from Featurize on *this* engine's options: FeatureBagToJson drops
   /// the per-feature line occurrences that prune/rerank need, so the
-  /// in-memory bag (not a JSON round-trip) is required.
-  Status AddSnippetWithFeatures(int64_t id, std::string_view code,
+  /// in-memory bag (not a JSON round-trip) is required. The source is
+  /// taken by value and moved into the engine.
+  Status AddSnippetWithFeatures(int64_t id, std::string code,
                                 FeatureBag features);
   bool RemoveSnippet(int64_t id);
   size_t size() const { return index_.size(); }

@@ -1,6 +1,13 @@
 #include <cmath>
+#include <cstring>
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "common/json.hpp"
+#include "common/rng.hpp"
 #include "embed/codet5_sim.hpp"
 #include "embed/hashed_encoder.hpp"
 #include "embed/reacc_sim.hpp"
@@ -86,6 +93,100 @@ TEST(VectorJson, MalformedYieldsEmpty) {
   EXPECT_TRUE(FromJson("not json").empty());
   EXPECT_TRUE(FromJson("{\"a\":1}").empty());
   EXPECT_TRUE(FromJson("[1, \"x\"]").empty());
+}
+
+/// FromJson as it was before the direct parser: a full Value tree, then
+/// every element through Value::as_double. The direct parser must agree
+/// with it bit for bit, on every input.
+Vector ValueTreeFromJson(std::string_view text) {
+  Result<Value> parsed = json::Parse(text);
+  if (!parsed.ok() || !parsed->is_array()) return {};
+  Vector out;
+  for (const Value& x : parsed->as_array()) {
+    if (!x.is_number()) return {};
+    out.push_back(static_cast<float>(x.as_double()));
+  }
+  return out;
+}
+
+void ExpectSameBits(const Vector& got, const Vector& want,
+                    const std::string& input) {
+  ASSERT_EQ(got.size(), want.size()) << input;
+  if (got.empty()) return;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0)
+      << input;
+}
+
+TEST(VectorJson, FromJsonMatchesValueTreeOnSeededOutputs) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    Vector v(1 + rng.NextBelow(600));
+    for (float& x : v) {
+      // Sparse like a hashed embedding, with magnitudes from denormal to
+      // near FLT_MAX and both signs of zero.
+      const uint64_t kind = rng.NextBelow(8);
+      const double mag = std::ldexp(rng.NextDouble(),
+                                    static_cast<int>(rng.NextBelow(250)) - 140);
+      if (kind < 3) {
+        x = 0.0f;
+      } else if (kind == 3) {
+        x = -0.0f;
+      } else {
+        x = static_cast<float>(kind % 2 == 0 ? mag : -mag);
+      }
+    }
+    const std::string text = ToJson(v);
+    const Vector parsed = FromJson(text);
+    ExpectSameBits(parsed, ValueTreeFromJson(text), text.substr(0, 64));
+    ExpectSameBits(parsed, v, text.substr(0, 64));
+  }
+}
+
+TEST(VectorJson, FromJsonMatchesValueTreeOnHandWrittenNumbers) {
+  // Valid arrays whose numbers ToJson never writes: integer tokens (parsed
+  // through int64, so "-0" is +0), int64 overflow, exponents, leading
+  // zeros, out-of-range doubles, and every kind of JSON whitespace.
+  const std::vector<std::string> inputs = {
+      "[0]",         "[-0]",          "[-0.0]",
+      "[7,-3]",      "[007]",         "[1E5,2e-3,3e+2]",
+      "[99999999999999999999]",       "[-9223372036854775808]",
+      "[16777217]",  "[1e999,-1e999]", "[1e-400]",
+      "[0.1]",       "[3.4028235677973366e38]",
+      " \t\r\n[ 1 ,\n2\t,3 ]\r\n ",
+  };
+  for (const std::string& text : inputs) {
+    const Vector parsed = FromJson(text);
+    EXPECT_FALSE(parsed.empty()) << text;
+    ExpectSameBits(parsed, ValueTreeFromJson(text), text);
+  }
+}
+
+TEST(VectorJson, MalformedInputsStayEmpty) {
+  const std::vector<std::string> inputs = {
+      "",        " ",        "[",        "]",         "[]",
+      "[ ]",     "[1,]",     "[,1]",     "[1 2]",     "[1,2",
+      "[1,2]x",  "[1] [2]",  "[+1]",     "[1.]",      "[.5]",
+      "[1e]",    "[1e+]",    "[-]",      "[--1]",     "[1,\"a\"]",
+      "[null]",  "[true]",   "[[1]]",    "[{}]",      "{}",
+      "1",       "\"[1]\"",  "[0x10]",   "[1;2]",     "[NaN]",
+      "[Infinity]", "[1\v]", std::string("[1\0]", 4),
+  };
+  for (const std::string& text : inputs) {
+    EXPECT_TRUE(FromJson(text).empty()) << text;
+    EXPECT_TRUE(ValueTreeFromJson(text).empty()) << text;
+  }
+}
+
+TEST(VectorJson, ToJsonReturnsAnExactSizeString) {
+  Rng rng(9);
+  Vector v(4096);
+  for (float& x : v) x = static_cast<float>(rng.NextDouble() - 0.5);
+  const std::string text = ToJson(v);
+  EXPECT_EQ(text.capacity(), text.size());
+  Value tree = Value::MakeArray();
+  for (float x : v) tree.push_back(static_cast<double>(x));
+  EXPECT_EQ(text, tree.ToJson());
 }
 
 TEST(HashedEncoder, DeterministicAndNormalized) {

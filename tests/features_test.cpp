@@ -177,6 +177,61 @@ TEST(Features, OccurrencesTagLines) {
 
 // ---- scoring ----
 
+// Cost contract for wide nodes: every feature is hashed once, so the bytes
+// of feature text per token are the hashing cost per token. A flat fragment
+// of n value tokens puts all n under one node whose label grows with n;
+// that label must not be embedded verbatim into each token's features, or
+// featurization is quadratic in n.
+struct FeatureCost {
+  size_t tokens = 0;
+  size_t bytes = 0;
+  double BytesPerToken() const {
+    return static_cast<double>(bytes) / static_cast<double>(tokens);
+  }
+};
+
+FeatureCost FlatFragmentCost(size_t n) {
+  std::string source = "x = ";
+  for (size_t i = 0; i < n; ++i) source += "1 ";
+  source += "\n";
+  FeatureOptions opts;
+  opts.record_strings = true;
+  FeatureBag bag = Extract(source, opts);
+  FeatureCost cost;
+  for (const std::string& f : bag.strings) {
+    cost.bytes += f.size();
+    if (f.rfind("T:", 0) == 0) ++cost.tokens;
+  }
+  return cost;
+}
+
+TEST(FeatureCost, BytesHashedPerTokenStayBoundedOnWideNodes) {
+  const FeatureCost small = FlatFragmentCost(500);
+  const FeatureCost large = FlatFragmentCost(20000);
+  ASSERT_GE(small.tokens, 500u);
+  ASSERT_GE(large.tokens, 20000u);
+  // Bounded by the label cap: a few parent features of at most a few
+  // hundred bytes each, whatever the width.
+  EXPECT_LT(large.BytesPerToken(), 2048.0);
+  // And flat in n: 40x the tokens may not cost more per token.
+  EXPECT_LE(large.BytesPerToken(), small.BytesPerToken() * 1.05 + 8.0);
+}
+
+TEST(FeatureCost, ShortLabelsAreEmbeddedVerbatim) {
+  FeatureOptions opts;
+  opts.record_strings = true;
+  FeatureBag bag = Extract("if x > 1:\n    y = f(a, b)\n", opts);
+  // A narrow node keeps its readable label in the parent feature.
+  bool verbatim = false;
+  for (const std::string& f : bag.strings) {
+    if (f.rfind("P1:1|", 0) == 0 && f.find("#>#") != std::string::npos) {
+      verbatim = true;
+    }
+    EXPECT_EQ(f.find("#L"), std::string::npos) << f;
+  }
+  EXPECT_TRUE(verbatim);
+}
+
 TEST(Scoring, OverlapIsMinCountSum) {
   FeatureBag a, b;
   a.counts = {{1, 2}, {2, 1}};

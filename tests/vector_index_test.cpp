@@ -8,13 +8,16 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "embed/embedding.hpp"
 #include "search/query_cache.hpp"
 #include "search/vector_index.hpp"
@@ -358,6 +361,172 @@ TEST(QueryEmbeddingCache, ChurnStressConcurrentLookupsAndClears) {
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<uint64_t>(kReaders) * kLookupsPerReader);
   EXPECT_LE(stats.entries, cache.capacity());
+}
+
+// UpsertBatch must leave an index bit-identical to the same rows upserted
+// one at a time: every stored row, the SQ8 mirror, the graph (through TopK
+// ids and scores) and the shape counters.
+
+/// One mutation stream, replayed either per row or in batches.
+struct Stream {
+  std::vector<int64_t> ids;
+  std::vector<embed::Vector> rows;
+};
+
+/// `n` upserts over ids 1..id_space: later upserts repeat earlier ids, and
+/// some rows are zero or have the wrong dimensionality.
+Stream MakeStream(Rng& rng, size_t n, size_t dims, int64_t id_space) {
+  Stream s;
+  for (size_t i = 0; i < n; ++i) {
+    s.ids.push_back(1 + static_cast<int64_t>(rng.NextBelow(
+                            static_cast<uint64_t>(id_space))));
+    const uint64_t kind = rng.NextBelow(20);
+    if (kind == 0) {
+      s.rows.push_back(embed::Vector(dims, 0.0f));
+    } else if (kind == 1) {
+      s.rows.push_back(RandomVector(rng, dims + 1));
+    } else {
+      s.rows.push_back(RandomVector(rng, dims));
+    }
+  }
+  return s;
+}
+
+void ApplyPerRow(VectorIndex& index, const Stream& s) {
+  for (size_t i = 0; i < s.ids.size(); ++i) index.Upsert(s.ids[i], s.rows[i]);
+}
+
+/// Replays `s` through UpsertBatch in batches of varying size.
+void ApplyBatched(VectorIndex& index, const Stream& s, ThreadPool* pool,
+                  Rng& rng) {
+  size_t begin = 0;
+  while (begin < s.ids.size()) {
+    const size_t len = std::min<size_t>(s.ids.size() - begin,
+                                        1 + rng.NextBelow(300));
+    std::vector<std::span<const float>> rows;
+    for (size_t i = begin; i < begin + len; ++i) rows.emplace_back(s.rows[i]);
+    index.UpsertBatch(std::span(s.ids).subspan(begin, len), rows, pool);
+    begin += len;
+  }
+}
+
+void ExpectIdentical(const VectorIndex& got, const VectorIndex& want,
+                     int64_t id_space, Rng& rng) {
+  ASSERT_EQ(got.size(), want.size());
+  const VectorIndexStats gs = got.stats();
+  const VectorIndexStats ws = want.stats();
+  EXPECT_EQ(gs.nodes, ws.nodes);
+  EXPECT_EQ(gs.ann, ws.ann);
+  EXPECT_EQ(gs.graph_builds, ws.graph_builds);
+  EXPECT_EQ(gs.compactions, ws.compactions);
+  EXPECT_EQ(gs.quantized, ws.quantized);
+  EXPECT_TRUE(got.DebugQuantConsistent());
+  EXPECT_TRUE(want.DebugQuantConsistent());
+  for (int64_t id = 1; id <= id_space; ++id) {
+    std::span<const float> a = got.DebugRow(id);
+    std::span<const float> b = want.DebugRow(id);
+    ASSERT_EQ(a.size(), b.size()) << "id " << id;
+    if (!a.empty()) {
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size_bytes()), 0)
+          << "row of id " << id;
+    }
+  }
+  for (int q = 0; q < 8; ++q) {
+    const embed::Vector query = RandomVector(rng, got.dims());
+    for (size_t k : {1u, 10u, 50u}) {
+      const std::vector<ScoredId> a = got.TopK(query, k);
+      const std::vector<ScoredId> b = want.TopK(query, k);
+      ASSERT_EQ(a.size(), b.size());
+      for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].id, b[i].id) << "rank " << i;
+        EXPECT_EQ(std::memcmp(&a[i].score, &b[i].score, sizeof(float)), 0)
+            << "rank " << i;
+      }
+    }
+  }
+}
+
+/// Runs one stream both ways under `opts` and compares the results.
+void CheckBatchParity(const VectorIndexOptions& opts, ThreadPool* pool,
+                      uint64_t seed, size_t n, int64_t id_space,
+                      bool bulk = false) {
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  const size_t dims = 24;
+  Rng rng(seed);
+  const Stream s = MakeStream(rng, n, dims, id_space);
+  VectorIndex per_row(dims, opts);
+  VectorIndex batched(dims, opts);
+  if (bulk) {
+    per_row.BeginBulk();
+    batched.BeginBulk();
+  }
+  ApplyPerRow(per_row, s);
+  ApplyBatched(batched, s, pool, rng);
+  if (bulk) {
+    // A pooled graph build links nodes in a thread-dependent order, so two
+    // pooled builds over the same rows can differ; the serial build is the
+    // deterministic reference both indexes are held to.
+    per_row.EndBulk(nullptr);
+    batched.EndBulk(nullptr);
+  }
+  ExpectIdentical(batched, per_row, id_space, rng);
+}
+
+TEST(UpsertBatch, FlatMatchesPerRowUpserts) {
+  VectorIndexOptions opts;
+  opts.strategy = IndexStrategy::kFlat;
+  CheckBatchParity(opts, nullptr, 1, 1500, 900);
+  ThreadPool pool(3);
+  CheckBatchParity(opts, &pool, 2, 1500, 900);
+}
+
+TEST(UpsertBatch, QuantizedMatchesPerRowUpserts) {
+  VectorIndexOptions opts;
+  opts.strategy = IndexStrategy::kFlat;
+  opts.quantize = true;
+  CheckBatchParity(opts, nullptr, 3, 1500, 900);
+  ThreadPool pool(3);
+  CheckBatchParity(opts, &pool, 4, 1500, 900);
+}
+
+TEST(UpsertBatch, RepeatedAndExistingIdsInOneBatch) {
+  // Every id repeats many times, so batches mix rows already stored,
+  // rows appended earlier in the same batch, and fresh ids.
+  VectorIndexOptions opts;
+  opts.strategy = IndexStrategy::kFlat;
+  opts.quantize = true;
+  ThreadPool pool(2);
+  CheckBatchParity(opts, &pool, 5, 2000, 40);
+}
+
+TEST(UpsertBatch, AutoModeBatchCrossingAnnThreshold) {
+  VectorIndexOptions opts;
+  opts.strategy = IndexStrategy::kAuto;
+  opts.ann_threshold = 350;
+  ThreadPool pool(3);
+  // Outside bulk mode the switch happens on the row that reaches the
+  // threshold, mid-batch; the rest of that batch links in incrementally.
+  CheckBatchParity(opts, &pool, 6, 900, 700);
+  opts.quantize = true;
+  CheckBatchParity(opts, &pool, 7, 900, 700);
+  // In bulk mode the graph is built once, by EndBulk.
+  CheckBatchParity(opts, &pool, 8, 900, 700, /*bulk=*/true);
+}
+
+TEST(UpsertBatch, HnswModeKeepsTombstoneThenAppend) {
+  VectorIndexOptions opts;
+  opts.strategy = IndexStrategy::kHnsw;
+  ThreadPool pool(3);
+  // A small id space forces replacements (tombstones) and compactions.
+  CheckBatchParity(opts, &pool, 9, 800, 150);
+  CheckBatchParity(opts, &pool, 10, 800, 150, /*bulk=*/true);
+}
+
+TEST(UpsertBatch, EmptyBatchIsANoOp) {
+  VectorIndex index(8);
+  index.UpsertBatch({}, {}, nullptr);
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.stats().bytes, VectorIndex(8).stats().bytes);
 }
 
 }  // namespace
