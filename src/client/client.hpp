@@ -150,8 +150,10 @@ class LaminarClient {
   Status SaveRegistry(const std::string& path);
   /// Restores the registry from a server-side file and reindexes search.
   Status LoadRegistry(const std::string& path);
-  /// Engine/cache/broker statistics (the /stats endpoint), including the
-  /// telemetry view ("totals", "metrics", "trace").
+  /// This server's statistics (the /stats endpoint): registry, cache,
+  /// broker, search-index, tenant, run-queue, WAL and replication blocks,
+  /// plus the process-wide telemetry registry ("metrics") and recent
+  /// spans ("trace").
   Result<Value> GetStats();
   /// Prometheus text exposition (the GET /metrics endpoint).
   Result<std::string> GetMetrics();

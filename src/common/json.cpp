@@ -246,16 +246,19 @@ class Parser {
     ++pos_;  // opening quote
     std::string out;
     while (true) {
+      // Append the verbatim run up to the next quote, backslash or control
+      // character in one go.
+      const size_t run = pos_;
+      while (!Eof()) {
+        const auto c = static_cast<unsigned char>(text_[pos_]);
+        if (c == '"' || c == '\\' || c < 0x20) break;
+        ++pos_;
+      }
+      out.append(text_.data() + run, pos_ - run);
       if (Eof()) return FailStatus("unterminated string");
       char c = text_[pos_++];
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return FailStatus("raw control character in string");
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') return FailStatus("raw control character in string");
       if (Eof()) return FailStatus("unterminated escape");
       char esc = text_[pos_++];
       switch (esc) {

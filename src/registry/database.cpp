@@ -433,15 +433,24 @@ Status Database::SaveToFile(const std::string& path) const {
   return WriteSnapshot(CaptureSnapshot(), path);
 }
 
+Status Database::LoadTables(const Value& doc) {
+  // Check every table before replacing any, so a bad row in the last table
+  // cannot leave the earlier ones already replaced.
+  for (auto& [name, table] : tables_) {
+    if (Status st = table->CheckRows(doc.at(name)); !st.ok()) return st;
+  }
+  for (auto& [name, table] : tables_) {
+    const Value& table_obj = doc.at(name);
+    if (table_obj.is_null()) continue;  // table absent in snapshot
+    if (Status st = table->LoadRows(table_obj); !st.ok()) return st;
+  }
+  return Status::Ok();
+}
+
 Result<uint64_t> Database::LoadFromText(const std::string& text) {
   Result<Value> parsed = json::Parse(text);
   if (!parsed.ok()) return parsed.status();
-  for (auto& [name, table] : tables_) {
-    const Value& table_obj = parsed->at(name);
-    if (table_obj.is_null()) continue;  // table absent in snapshot
-    Status st = table->LoadRows(table_obj);
-    if (!st.ok()) return st;
-  }
+  if (Status st = LoadTables(parsed.value()); !st.ok()) return st;
   const uint64_t snapshot_seq =
       static_cast<uint64_t>(parsed->GetInt("__wal_seq", 0));
   if (wal_ != nullptr) wal_->EnsureSeqAbove(snapshot_seq);
@@ -502,12 +511,7 @@ Status Database::Recover(const std::string& snapshot_path,
     buffer << in.rdbuf();
     Result<Value> parsed = json::Parse(buffer.str());
     if (!parsed.ok()) return parsed.status();
-    for (auto& [name, table] : tables_) {
-      const Value& table_obj = parsed->at(name);
-      if (table_obj.is_null()) continue;
-      Status st = table->LoadRows(table_obj);
-      if (!st.ok()) return st;
-    }
+    if (Status st = LoadTables(parsed.value()); !st.ok()) return st;
     snapshot_seq = static_cast<uint64_t>(parsed->GetInt("__wal_seq", 0));
   }
   recovery_snapshot_path_ = snapshot_path;

@@ -120,7 +120,8 @@ class Database {
   Status SaveToFile(const std::string& path) const;
 
   /// Restores rows into the already-created tables of this database, then
-  /// replays the enabled WAL's suffix (records newer than the snapshot).
+  /// replays the enabled WAL's suffix (records newer than the snapshot). A
+  /// snapshot with a malformed row is refused before any table changes.
   Status LoadFromFile(const std::string& path);
 
   /// Restores rows from an in-memory snapshot document (the exact bytes a
@@ -163,6 +164,10 @@ class Database {
   class WalWriter;
 
   Status CheckForeignKeys(const Table& table, const Row& row) const;
+  /// Replaces the rows of every table the snapshot document names (tables
+  /// it lacks keep theirs). Checks all of them first: on error nothing is
+  /// replaced.
+  Status LoadTables(const Value& doc);
   /// Applies records with seq > min_seq. A torn trailing line (crash mid-
   /// append) ends the replay without error, but an unparseable record with
   /// intact records after it is mid-file corruption: the replay fails

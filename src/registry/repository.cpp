@@ -11,6 +11,17 @@ int64_t NowMs() {
       .count();
 }
 
+/// Rows of `table` owned by `tenant`; the default tenant also owns those
+/// whose tenant is null or empty (counted as "").
+int64_t OwnedRows(const Table& table, const std::string& tenant) {
+  const auto& counts = table.RowCounts("tenant");
+  auto rows = [&counts](const std::string& value) -> int64_t {
+    auto it = counts.find(value);
+    return it != counts.end() ? static_cast<int64_t>(it->second) : 0;
+  };
+  return rows(tenant) + (tenant == kDefaultTenant ? rows("") : 0);
+}
+
 PeRecord RowToPe(const Row& row) {
   PeRecord pe;
   pe.id = row.GetInt("id");
@@ -190,6 +201,26 @@ std::vector<WorkflowRecord> Repository::AllWorkflows() const {
 
 size_t Repository::WorkflowCount() const {
   return db_->GetTable(kWorkflowTable)->size();
+}
+
+TenantRows Repository::RowsOwnedBy(const std::string& tenant) const {
+  return {OwnedRows(*db_->GetTable(kPeTable), tenant),
+          OwnedRows(*db_->GetTable(kWorkflowTable), tenant)};
+}
+
+std::map<std::string, TenantRows> Repository::TenantRowCounts() const {
+  std::map<std::string, TenantRows> out;
+  for (const auto& [tenant, rows] :
+       db_->GetTable(kPeTable)->RowCounts("tenant")) {
+    out[std::string(RowTenant(tenant))].pes +=
+        static_cast<int64_t>(rows);
+  }
+  for (const auto& [tenant, rows] :
+       db_->GetTable(kWorkflowTable)->RowCounts("tenant")) {
+    out[std::string(RowTenant(tenant))].workflows +=
+        static_cast<int64_t>(rows);
+  }
+  return out;
 }
 
 Status Repository::LinkPe(int64_t workflow_id, int64_t pe_id) {

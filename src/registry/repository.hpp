@@ -4,13 +4,31 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "registry/schema.hpp"
 
 namespace laminar::registry {
+
+/// Implicit namespace of requests that do not name a tenant, and the owner
+/// of rows written before tenancy existed.
+inline constexpr std::string_view kDefaultTenant = "default";
+
+/// Normalizes a stored row tenant: rows written before tenancy existed have
+/// no tenant column and read back as "".
+inline std::string_view RowTenant(const std::string& stored) {
+  return stored.empty() ? kDefaultTenant : std::string_view(stored);
+}
+
+/// Registered rows one tenant owns.
+struct TenantRows {
+  int64_t pes = 0;
+  int64_t workflows = 0;
+};
 
 struct UserRecord {
   int64_t id = 0;
@@ -87,6 +105,12 @@ class Repository {
   Status RemoveWorkflow(int64_t id);
   std::vector<WorkflowRecord> AllWorkflows() const;
   size_t WorkflowCount() const;
+
+  /// PE and workflow rows `tenant` owns (by RowTenant), O(1): the tables
+  /// count their tenant column.
+  TenantRows RowsOwnedBy(const std::string& tenant) const;
+  /// The same for every tenant owning a row; O(tenants), reads no row.
+  std::map<std::string, TenantRows> TenantRowCounts() const;
 
   // Workflow <-> PE links.
   Status LinkPe(int64_t workflow_id, int64_t pe_id);

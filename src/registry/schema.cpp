@@ -30,6 +30,7 @@ Status CreateLaminarSchema(Database& db) {
         {"tenant", ColumnType::kString, true},
     };
     wf.indexed_columns = {"workflowName", "userId"};
+    wf.counted_columns = {"tenant"};  // per-tenant row quotas
     wf.foreign_keys = {{"userId", kUserTable}};
     if (Status st = db.CreateTable(std::move(wf)); !st.ok()) return st;
   }
@@ -46,6 +47,7 @@ Status CreateLaminarSchema(Database& db) {
         {"tenant", ColumnType::kString, true},
     };
     pe.indexed_columns = {"peName"};
+    pe.counted_columns = {"tenant"};
     if (Status st = db.CreateTable(std::move(pe)); !st.ok()) return st;
   }
   {

@@ -32,6 +32,9 @@ Table::Table(TableSchema schema) : schema_(std::move(schema)) {
   for (const std::string& col : schema_.indexed_columns) {
     indexes_[col];
   }
+  for (const std::string& col : schema_.counted_columns) {
+    counts_[col];
+  }
 }
 
 const ColumnSpec* Table::FindColumn(const std::string& name) const {
@@ -111,6 +114,7 @@ void Table::IndexRow(int64_t id, const Row& row) {
     if (v.is_null()) continue;
     buckets[IndexKey(v)].push_back(id);
   }
+  for (auto& [col, counts] : counts_) ++counts[row.at(col).as_string()];
 }
 
 void Table::DeindexRow(int64_t id, const Row& row) {
@@ -121,6 +125,10 @@ void Table::DeindexRow(int64_t id, const Row& row) {
     if (it == buckets.end()) continue;
     std::erase(it->second, id);
     if (it->second.empty()) buckets.erase(it);
+  }
+  for (auto& [col, counts] : counts_) {
+    auto it = counts.find(row.at(col).as_string());
+    if (it != counts.end() && --it->second == 0) counts.erase(it);
   }
 }
 
@@ -214,6 +222,13 @@ std::vector<Row> Table::FindBy(const std::string& column,
   return out;
 }
 
+const std::unordered_map<std::string, size_t>& Table::RowCounts(
+    const std::string& column) const {
+  static const std::unordered_map<std::string, size_t> kNone;
+  auto it = counts_.find(column);
+  return it != counts_.end() ? it->second : kNone;
+}
+
 std::vector<Row> Table::Scan(const std::function<bool(const Row&)>& pred) const {
   static telemetry::Counter& scans = OpCounter("scan");
   scans.Inc();
@@ -241,6 +256,7 @@ void Table::Clear() {
 void Table::ClearNoLog() {
   rows_.clear();
   for (auto& [col, buckets] : indexes_) buckets.clear();
+  for (auto& [col, counts] : counts_) counts.clear();
   next_id_ = 1;
   ++version_;
 }
@@ -254,17 +270,27 @@ Value Table::ToJson() const {
   return obj;
 }
 
-Status Table::LoadRows(const Value& table_obj) {
-  ClearNoLog();  // restoring a snapshot is not a logged mutation
-  int64_t max_id = 0;
+Status Table::CheckRows(const Value& table_obj) const {
   for (const Value& row : table_obj.at("rows").as_array()) {
     if (!row.is_object()) {
       return Status::ParseError("table row is not an object");
     }
+    if (row.GetInt(schema_.primary_key, -1) < 1) {
+      return Status::ParseError("row missing primary key in table " +
+                                schema_.name);
+    }
+  }
+  return Status::Ok();
+}
+
+Status Table::LoadRows(const Value& table_obj) {
+  if (Status st = CheckRows(table_obj); !st.ok()) return st;
+  ClearNoLog();  // restoring a snapshot is not a logged mutation
+  int64_t max_id = 0;
+  for (const Value& row : table_obj.at("rows").as_array()) {
     int64_t id = row.GetInt(schema_.primary_key, -1);
-    if (id < 1) return Status::ParseError("row missing primary key");
-    IndexRow(id, row);
-    rows_.emplace(id, row);
+    // A repeated id keeps its first row, and is indexed and counted once.
+    if (rows_.emplace(id, row).second) IndexRow(id, row);
     max_id = std::max(max_id, id);
   }
   int64_t stored_next = table_obj.GetInt("next_id", max_id + 1);

@@ -47,6 +47,10 @@ struct TableSchema {
   std::vector<ColumnSpec> columns;  ///< non-key columns
   std::vector<std::string> unique_columns;
   std::vector<std::string> indexed_columns;  ///< secondary hash indexes
+  /// String columns whose row count per value the table keeps (RowCounts).
+  /// Unlike an index it holds no row ids, so a value most rows share still
+  /// costs O(1) per insert and erase.
+  std::vector<std::string> counted_columns;
   std::vector<ForeignKeySpec> foreign_keys;
   /// Maximum length of ColumnType::kString values (MySQL VARCHAR(255)
   /// default — the Laminar 1.0 limitation).
@@ -106,6 +110,11 @@ class Table {
   /// unique; falls back to a full scan otherwise (and counts it).
   std::vector<Row> FindBy(const std::string& column, const Value& value) const;
 
+  /// Value -> rows holding it, for a counted column; null counts as "" and
+  /// values no row holds are absent. Empty for any other column.
+  const std::unordered_map<std::string, size_t>& RowCounts(
+      const std::string& column) const;
+
   /// Predicate scan over all rows, ascending id order.
   std::vector<Row> Scan(const std::function<bool(const Row&)>& pred) const;
   /// All rows, ascending id order.
@@ -122,7 +131,11 @@ class Table {
 
   /// Persistence hooks used by Database.
   Value ToJson() const;
-  Status LoadRows(const Value& rows_array);
+  /// The checks LoadRows makes before it replaces anything: every row is an
+  /// object with a positive primary key.
+  Status CheckRows(const Value& table_obj) const;
+  /// Replaces every row with the snapshot's; on error nothing is replaced.
+  Status LoadRows(const Value& table_obj);
 
   /// WAL-replay insert: the row already carries its primary key. Re-indexes,
   /// advances next_id_ past the id, replaces any existing row. Not logged.
@@ -143,6 +156,7 @@ class Table {
   const ColumnSpec* FindColumn(const std::string& name) const;
   Status ValidateTypes(const Row& row, bool partial) const;
   Status CheckUnique(const Row& row, int64_t ignore_id) const;
+  /// Add/remove a row in the secondary indexes and the per-value counts.
   void IndexRow(int64_t id, const Row& row);
   void DeindexRow(int64_t id, const Row& row);
   static std::string IndexKey(const Value& v);
@@ -156,6 +170,9 @@ class Table {
   std::unordered_map<std::string,
                      std::unordered_map<std::string, std::vector<int64_t>>>
       indexes_;
+  /// column -> value -> rows holding it (counted_columns).
+  std::unordered_map<std::string, std::unordered_map<std::string, size_t>>
+      counts_;
   mutable AtomicTableStats stats_;
 };
 

@@ -22,12 +22,6 @@ telemetry::Counter& ThrottledCounter(const std::string& tenant) {
       "laminar_tenant_throttled_total", TenantLabel(tenant));
 }
 
-telemetry::Gauge& RowGauge(const std::string& tenant, const char* kind) {
-  return telemetry::MetricsRegistry::Global().GetGauge(
-      "laminar_tenant_rows",
-      TenantLabel(tenant) + ",kind=\"" + kind + '"');
-}
-
 }  // namespace
 
 bool ValidTenantName(std::string_view name) {
@@ -90,73 +84,29 @@ Status AdmissionController::AdmitRequest(const std::string& tenant,
 }
 
 Status AdmissionController::AdmitPes(const std::string& tenant,
+                                     int64_t current,
                                      int64_t additional) const {
   const TenantQuotas& quotas = QuotasFor(tenant);
-  if (quotas.max_pes <= 0) return Status::Ok();
-  std::scoped_lock lock(mu_);
-  auto it = tenants_.find(tenant);
-  int64_t current = it != tenants_.end() ? it->second.pes : 0;
-  if (current + additional > quotas.max_pes) {
-    return Status::ResourceExhausted(
-        "tenant '" + tenant + "' PE quota exceeded (" +
-        std::to_string(current) + "/" + std::to_string(quotas.max_pes) + ")");
+  if (quotas.max_pes <= 0 || current + additional <= quotas.max_pes) {
+    return Status::Ok();
   }
-  return Status::Ok();
+  return Status::ResourceExhausted(
+      "tenant '" + tenant + "' PE quota exceeded (" + std::to_string(current) +
+      "/" + std::to_string(quotas.max_pes) + ")");
 }
 
 Status AdmissionController::AdmitWorkflows(const std::string& tenant,
+                                           int64_t current,
                                            int64_t additional) const {
   const TenantQuotas& quotas = QuotasFor(tenant);
-  if (quotas.max_workflows <= 0) return Status::Ok();
-  std::scoped_lock lock(mu_);
-  auto it = tenants_.find(tenant);
-  int64_t current = it != tenants_.end() ? it->second.workflows : 0;
-  if (current + additional > quotas.max_workflows) {
-    return Status::ResourceExhausted(
-        "tenant '" + tenant + "' workflow quota exceeded (" +
-        std::to_string(current) + "/" + std::to_string(quotas.max_workflows) +
-        ")");
+  if (quotas.max_workflows <= 0 ||
+      current + additional <= quotas.max_workflows) {
+    return Status::Ok();
   }
-  return Status::Ok();
-}
-
-void AdmissionController::OnPesChanged(const std::string& tenant,
-                                       int64_t delta) {
-  {
-    std::scoped_lock lock(mu_);
-    TenantCounters& c = tenants_[tenant];
-    c.pes = std::max<int64_t>(0, c.pes + delta);
-  }
-  RowGauge(tenant, "pe").Add(delta);
-}
-
-void AdmissionController::OnWorkflowsChanged(const std::string& tenant,
-                                             int64_t delta) {
-  {
-    std::scoped_lock lock(mu_);
-    TenantCounters& c = tenants_[tenant];
-    c.workflows = std::max<int64_t>(0, c.workflows + delta);
-  }
-  RowGauge(tenant, "workflow").Add(delta);
-}
-
-void AdmissionController::ResetRowCounts(
-    std::map<std::string, std::pair<int64_t, int64_t>>
-        pe_and_workflow_counts) {
-  std::scoped_lock lock(mu_);
-  for (auto& [tenant, c] : tenants_) {
-    RowGauge(tenant, "pe").Set(0);
-    RowGauge(tenant, "workflow").Set(0);
-    c.pes = 0;
-    c.workflows = 0;
-  }
-  for (const auto& [tenant, counts] : pe_and_workflow_counts) {
-    TenantCounters& c = tenants_[tenant];
-    c.pes = counts.first;
-    c.workflows = counts.second;
-    RowGauge(tenant, "pe").Set(counts.first);
-    RowGauge(tenant, "workflow").Set(counts.second);
-  }
+  return Status::ResourceExhausted(
+      "tenant '" + tenant + "' workflow quota exceeded (" +
+      std::to_string(current) + "/" + std::to_string(quotas.max_workflows) +
+      ")");
 }
 
 void AdmissionController::RecordRunOutcome(const std::string& tenant,
@@ -177,15 +127,22 @@ void AdmissionController::RecordRunOutcome(const std::string& tenant,
       .Inc();
 }
 
-Value AdmissionController::StatsJson() const {
-  std::scoped_lock lock(mu_);
+Value AdmissionController::StatsJson(
+    const std::map<std::string, registry::TenantRows>& rows) const {
+  std::map<std::string, TenantCounters> all;
+  {
+    std::scoped_lock lock(mu_);
+    all = tenants_;
+  }
+  for (const auto& entry : rows) all[entry.first];  // rows, no requests
   Value out = Value::MakeObject();
-  for (const auto& [tenant, c] : tenants_) {
+  for (const auto& [tenant, c] : all) {
+    auto owned = rows.find(tenant);
     Value t = Value::MakeObject();
     t["requests"] = static_cast<int64_t>(c.requests);
     t["throttled"] = static_cast<int64_t>(c.throttled);
-    t["pes"] = c.pes;
-    t["workflows"] = c.workflows;
+    t["pes"] = owned != rows.end() ? owned->second.pes : 0;
+    t["workflows"] = owned != rows.end() ? owned->second.workflows : 0;
     t["runsSucceeded"] = static_cast<int64_t>(c.runs_succeeded);
     t["runsFailed"] = static_cast<int64_t>(c.runs_failed);
     out[tenant] = std::move(t);

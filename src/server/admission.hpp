@@ -13,9 +13,8 @@
 //  - a token-bucket request rate per tenant (requests_per_sec/burst),
 //    returning kResourceExhausted with a retry-after hint when drained —
 //    the server maps this to HTTP 429 with a `retryAfterMs` body field;
-//  - registered-row quotas (max_pes/max_workflows) checked against live
-//    per-tenant counts that the server maintains under its exclusive lock
-//    and rebuilds from the repository after load/recovery;
+//  - registered-row quotas (max_pes/max_workflows) checked against the
+//    live per-tenant row counts that the registry tables keep;
 //  - per-tenant run-outcome counters for the /stats tenants block.
 //
 // Run scheduling (concurrency caps, fair queueing) lives in
@@ -31,11 +30,11 @@
 
 #include "common/status.hpp"
 #include "common/value.hpp"
+#include "registry/repository.hpp"
 
 namespace laminar::server {
 
-/// Implicit namespace of requests that do not name a tenant.
-inline constexpr std::string_view kDefaultTenant = "default";
+using registry::kDefaultTenant;
 
 /// All limits default to 0 = unlimited, so an unconfigured server behaves
 /// exactly as before tenancy existed.
@@ -66,26 +65,26 @@ class AdmissionController {
   /// `retry_after_ms` to when a token will be available.
   Status AdmitRequest(const std::string& tenant, double* retry_after_ms);
 
-  /// Row-quota checks. `additional` is how many rows the operation wants to
-  /// add. Callers must hold the server's exclusive lock for the
-  /// check-then-commit to be atomic; the early advisory checks on the
-  /// shared-lock path are allowed to race (the commit re-checks).
-  Status AdmitPes(const std::string& tenant, int64_t additional) const;
-  Status AdmitWorkflows(const std::string& tenant, int64_t additional) const;
-
-  /// Row accounting (server exclusive lock held).
-  void OnPesChanged(const std::string& tenant, int64_t delta);
-  void OnWorkflowsChanged(const std::string& tenant, int64_t delta);
-  /// Replaces all row counts (after /registry/load, remove_all, recovery).
-  void ResetRowCounts(std::map<std::string, std::pair<int64_t, int64_t>>
-                          pe_and_workflow_counts);
+  /// Row-quota checks. `current` is how many rows the tenant owns now (the
+  /// registry tables count them) and `additional` how many the operation
+  /// wants to add. Callers read `current` under the server's lock: the
+  /// exclusive lock makes the check-then-commit atomic, while the early
+  /// advisory checks under the shared lock may be overtaken by another
+  /// registration (the commit re-checks).
+  Status AdmitPes(const std::string& tenant, int64_t current,
+                  int64_t additional) const;
+  Status AdmitWorkflows(const std::string& tenant, int64_t current,
+                        int64_t additional) const;
 
   /// Run-outcome accounting for /stats reconciliation with ##END## totals.
   void RecordRunOutcome(const std::string& tenant, bool ok);
 
   /// The /stats "tenants" block: requests/throttled/row/run counters keyed
-  /// by tenant. Merged by the server with FairRunQueue::Snapshot().
-  Value StatsJson() const;
+  /// by tenant, with the row counts taken from `rows`. A tenant that owns
+  /// rows but never sent a request appears too. Merged by the server with
+  /// FairRunQueue::Snapshot().
+  Value StatsJson(
+      const std::map<std::string, registry::TenantRows>& rows) const;
 
  private:
   struct TenantCounters {
@@ -94,8 +93,6 @@ class AdmissionController {
     bool bucket_primed = false;
     uint64_t requests = 0;
     uint64_t throttled = 0;
-    int64_t pes = 0;
-    int64_t workflows = 0;
     uint64_t runs_succeeded = 0;
     uint64_t runs_failed = 0;
   };

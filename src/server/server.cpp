@@ -11,7 +11,6 @@
 #include "net/multipart.hpp"
 #include "net/tcp.hpp"
 #include "pycode/parser.hpp"
-#include "simd/simd.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace laminar::server {
@@ -61,19 +60,13 @@ Result<std::string> ResolveTenant(const net::HttpRequest& request,
   return tenant;
 }
 
-/// Normalizes a stored row tenant: rows written before tenancy existed have
-/// no tenant column and read back as "".
-std::string_view RowTenant(const std::string& stored) {
-  return stored.empty() ? kDefaultTenant : std::string_view(stored);
-}
-
 /// Visibility rule for registry rows: default-tenant rows are shared with
 /// everyone (the pre-tenancy registry keeps working for all callers), the
 /// default tenant sees everything (it doubles as the operator view), and
 /// otherwise rows are private to their owning tenant.
 bool TenantCanSee(const std::string& requester, const std::string& row_tenant) {
   if (requester == kDefaultTenant) return true;
-  std::string_view owner = RowTenant(row_tenant);
+  std::string_view owner = registry::RowTenant(row_tenant);
   return owner == kDefaultTenant || owner == requester;
 }
 
@@ -152,30 +145,25 @@ std::string ExtractClassName(const std::string& code) {
   return name;
 }
 
-/// Ingest instrumentation: encode = the off-lock prepare work (summaries,
-/// embeddings, SPT featurization), commit = the exclusive-lock row insert
-/// + index upsert.
-telemetry::Histogram& IngestHistogram(const char* phase) {
-  return telemetry::MetricsRegistry::Global().GetHistogram(
-      "laminar_server_ingest_ms",
-      std::string("phase=\"") + phase + "\"");
-}
-
-telemetry::Counter& IngestCounter(const char* phase) {
-  return telemetry::MetricsRegistry::Global().GetCounter(
-      "laminar_server_ingest_total",
-      std::string("phase=\"") + phase + "\"");
-}
-
-/// Counts one ingest phase and times it for as long as it lives.
+/// Counts one ingest phase into laminar_server_ingest_total and times it
+/// into laminar_server_ingest_ms for as long as it lives. encode = the
+/// shared-lock prepare work (summaries, embeddings, SPT featurization),
+/// commit = the exclusive-lock row insert + index upsert.
 class IngestPhase {
  public:
   explicit IngestPhase(const char* phase)
-      : span_(std::string("ingest.") + phase, &IngestHistogram(phase)) {
-    IngestCounter(phase).Inc();
+      : span_(std::string("ingest.") + phase,
+              &telemetry::MetricsRegistry::Global().GetHistogram(
+                  "laminar_server_ingest_ms", Label(phase))) {
+    telemetry::MetricsRegistry::Global()
+        .GetCounter("laminar_server_ingest_total", Label(phase))
+        .Inc();
   }
 
  private:
+  static std::string Label(const char* phase) {
+    return std::string("phase=\"") + phase + '"';
+  }
   telemetry::ScopedSpan span_;
 };
 
@@ -325,7 +313,6 @@ LaminarServer::LaminarServer(ServerConfig config)
     if (!st.ok()) {
       log::Error("server", "post-recovery reindex failed: " + st.ToString());
     }
-    ResetTenantRowCounts();  // recovered rows count against tenant quotas
     // Leader side of replication: ship every committed WAL record into the
     // hub ring the moment it is appended (the observer runs under the WAL
     // mutex, so the ring sees records strictly in sequence order).
@@ -447,25 +434,13 @@ Result<int64_t> LaminarServer::CommitPeRegistration(PreparedPeReg prepared) {
 
 Result<int64_t> LaminarServer::InsertPeRow(PreparedPeReg& prepared) {
   // Authoritative quota check: this runs under the exclusive lock, so the
-  // check-then-increment is atomic even when the shared-lock advisory check
-  // raced another registration.
-  const std::string tenant = prepared.record.tenant;
-  Status quota = admission_.AdmitPes(tenant, 1);
+  // check-then-insert is atomic even when the shared-lock advisory check
+  // was overtaken by another registration.
+  const std::string& tenant = prepared.record.tenant;
+  Status quota =
+      admission_.AdmitPes(tenant, repo_.RowsOwnedBy(tenant).pes, 1);
   if (!quota.ok()) return quota;
-  Result<int64_t> id = repo_.CreatePe(std::move(prepared.record));
-  if (id.ok()) admission_.OnPesChanged(tenant, 1);
-  return id;
-}
-
-void LaminarServer::ResetTenantRowCounts() {
-  std::map<std::string, std::pair<int64_t, int64_t>> counts;
-  for (const registry::PeRecord& pe : repo_.AllPes()) {
-    ++counts[std::string(RowTenant(pe.tenant))].first;
-  }
-  for (const registry::WorkflowRecord& wf : repo_.AllWorkflows()) {
-    ++counts[std::string(RowTenant(wf.tenant))].second;
-  }
-  admission_.ResetRowCounts(std::move(counts));
+  return repo_.CreatePe(std::move(prepared.record));
 }
 
 Result<uint64_t> LaminarServer::BootstrapFromSnapshot(
@@ -475,7 +450,6 @@ Result<uint64_t> LaminarServer::BootstrapFromSnapshot(
   if (!seq.ok()) return seq;
   Status st = search_.ReindexAll(ingest_pool_.get());
   if (!st.ok()) return st;
-  ResetTenantRowCounts();
   // The snapshot replaced every row, including the default user's.
   Result<registry::UserRecord> user = repo_.GetUserByName(config_.default_user);
   if (user.ok()) default_user_id_ = user->id;
@@ -492,16 +466,6 @@ Status LaminarServer::ApplyReplicatedRecords(
     const int64_t id = record.GetInt("id", 0);
     const bool pe = table == registry::kPeTable;
     const bool indexed = pe || table == registry::kWorkflowTable;
-    // An erase drops the row before we can ask who owned it, so capture the
-    // owning tenant first to keep admission row counts in step.
-    std::string erased_tenant;
-    if (op == "erase" && pe) {
-      Result<registry::PeRecord> row = repo_.GetPe(id);
-      if (row.ok()) erased_tenant = std::string(RowTenant(row->tenant));
-    } else if (op == "erase" && indexed) {
-      Result<registry::WorkflowRecord> row = repo_.GetWorkflow(id);
-      if (row.ok()) erased_tenant = std::string(RowTenant(row->tenant));
-    }
     Status st = db_.ApplyWalRecord(record);
     if (!st.ok()) return st;
     if (op == "clear") {
@@ -520,26 +484,19 @@ Status LaminarServer::ApplyReplicatedRecords(
     auto remove = [&] {
       pe ? search_.RemovePe(id) : search_.RemoveWorkflow(id);
     };
-    auto count = [&](const std::string& tenant, int64_t delta) {
-      pe ? admission_.OnPesChanged(tenant, delta)
-         : admission_.OnWorkflowsChanged(tenant, delta);
-    };
     if (op == "insert") {
       add();
-      count(std::string(RowTenant(record.at("data").GetString("tenant"))), 1);
     } else if (op == "update") {
       remove();
       add();
     } else if (op == "erase") {
       remove();
-      if (!erased_tenant.empty()) count(erased_tenant, -1);
     }
   }
   if (full_reindex) {
     search_.Clear();
     Status st = search_.ReindexAll(ingest_pool_.get());
     if (!st.ok()) return st;
-    ResetTenantRowCounts();
   }
   return Status::Ok();
 }
@@ -1008,14 +965,17 @@ const LaminarServer::Route* LaminarServer::FindRoute(std::string_view path) {
   // replace them via search_.Clear() under the exclusive lock, and the
   // prepare must not overlap that swap.
   static constexpr auto register_pe = [](Self& self, const Call& c) -> Answer {
-    // Advisory quota check before the expensive encode; the commit
-    // re-checks authoritatively under the exclusive lock.
-    if (Status quota = self.admission_.AdmitPes(c.tenant, 1); !quota.ok()) {
-      return quota;
-    }
-    Result<PreparedPeReg> prepared = [&] {
-      IngestPhase phase("encode");
+    Result<PreparedPeReg> prepared = [&]() -> Result<PreparedPeReg> {
       std::shared_lock lock(self.mu_);
+      // Advisory quota check before the expensive encode, under the shared
+      // lock so no commit changes the count while it is read; the commit
+      // re-checks authoritatively under the exclusive lock.
+      if (Status quota = self.admission_.AdmitPes(
+              c.tenant, self.repo_.RowsOwnedBy(c.tenant).pes, 1);
+          !quota.ok()) {
+        return quota;
+      }
+      IngestPhase phase("encode");
       return self.PreparePeRegistration(c.body, c.tenant);
     }();
     if (!prepared.ok()) return prepared.status();
@@ -1041,8 +1001,7 @@ const LaminarServer::Route* LaminarServer::FindRoute(std::string_view path) {
   static constexpr auto remove_pe = [](Self& self, const Call& c) -> Answer {
     int64_t id = c.body.GetInt("id");
     // Look up the record first: cross-tenant removals 404 like any
-    // other invisible row, and a successful removal must decrement the
-    // *owning* tenant's row count, not the requester's.
+    // other invisible row.
     Result<registry::PeRecord> pe = self.repo_.GetPe(id);
     if (!pe.ok() || !TenantCanSee(c.tenant, pe->tenant)) {
       return pe.ok() ? Status::NotFound("no PE with id " + std::to_string(id))
@@ -1051,7 +1010,6 @@ const LaminarServer::Route* LaminarServer::FindRoute(std::string_view path) {
     Status st = self.repo_.RemovePe(id);
     if (!st.ok()) return st;
     self.search_.RemovePe(id);
-    self.admission_.OnPesChanged(std::string(RowTenant(pe->tenant)), -1);
     return Value::MakeObject();
   };
   static constexpr auto register_wf = [](Self& self, const Call& c) -> Answer {
@@ -1060,25 +1018,6 @@ const LaminarServer::Route* LaminarServer::FindRoute(std::string_view path) {
     registry::WorkflowRecord wf;
     wf.user_id = self.AuthUser(c.request);
     wf.tenant = tenant;
-    // Advisory quota checks before any model inference runs; the
-    // exclusive commit section re-checks both authoritatively.
-    if (Status quota = self.admission_.AdmitWorkflows(tenant, 1);
-        !quota.ok()) {
-      return quota;
-    }
-    if (Status quota = self.admission_.AdmitPes(
-            tenant, static_cast<int64_t>(body.at("pes").size()));
-        !quota.ok()) {
-      return quota;
-    }
-    wf.name = body.GetString("name");
-    wf.code = body.GetString("code");
-    wf.entry_point = body.at("spec").is_object()
-                         ? body.at("spec").ToJson()
-                         : body.GetString("spec");
-    if (wf.name.empty()) {
-      return Status::InvalidArgument("workflow requires 'name'");
-    }
     // Phase 1: prepare every member PE, synthesize the workflow
     // description from the *prepared* PE descriptions (identical to
     // what the commit will store), then encode/featurize the workflow.
@@ -1086,8 +1025,26 @@ const LaminarServer::Route* LaminarServer::FindRoute(std::string_view path) {
     std::vector<std::string> pe_descriptions;
     search::SearchService::PreparedWorkflow wf_index;
     {
-      IngestPhase phase("encode");
       std::shared_lock lock(self.mu_);  // excludes Clear()'s engine swap
+      // Advisory quota checks before any model inference runs, under the
+      // shared lock so no commit changes the counts while they are read;
+      // the exclusive commit section re-checks both authoritatively.
+      const registry::TenantRows owned = self.repo_.RowsOwnedBy(tenant);
+      Status quota = self.admission_.AdmitWorkflows(tenant, owned.workflows, 1);
+      if (quota.ok()) {
+        quota = self.admission_.AdmitPes(
+            tenant, owned.pes, static_cast<int64_t>(body.at("pes").size()));
+      }
+      if (!quota.ok()) return quota;
+      wf.name = body.GetString("name");
+      wf.code = body.GetString("code");
+      wf.entry_point = body.at("spec").is_object()
+                           ? body.at("spec").ToJson()
+                           : body.GetString("spec");
+      if (wf.name.empty()) {
+        return Status::InvalidArgument("workflow requires 'name'");
+      }
+      IngestPhase phase("encode");
       for (const Value& pe_obj : body.at("pes").as_array()) {
         Result<PreparedPeReg> prepared =
             self.PreparePeRegistration(pe_obj, tenant);
@@ -1126,13 +1083,13 @@ const LaminarServer::Route* LaminarServer::FindRoute(std::string_view path) {
         if (!pe_id.ok()) return pe_id.status();
         pe_ids.push_back(pe_id.value());
       }
-      if (Status quota = self.admission_.AdmitWorkflows(tenant, 1);
+      if (Status quota = self.admission_.AdmitWorkflows(
+              tenant, self.repo_.RowsOwnedBy(tenant).workflows, 1);
           !quota.ok()) {
         return quota;
       }
       Result<int64_t> wf_id = self.repo_.CreateWorkflow(wf);
       if (!wf_id.ok()) return wf_id.status();
-      self.admission_.OnWorkflowsChanged(tenant, 1);
       for (int64_t pe_id : pe_ids) {
         (void)self.repo_.LinkPe(wf_id.value(), pe_id);  // both just made
       }
@@ -1184,8 +1141,6 @@ const LaminarServer::Route* LaminarServer::FindRoute(std::string_view path) {
     Status st = self.repo_.RemoveWorkflow(id);
     if (!st.ok()) return st;
     self.search_.RemoveWorkflow(id);
-    self.admission_.OnWorkflowsChanged(
-        std::string(RowTenant(wf->tenant)), -1);
     return Value::MakeObject();
   };
   static constexpr auto list = [](Self& self, const Call& c) -> Answer {
@@ -1207,7 +1162,6 @@ const LaminarServer::Route* LaminarServer::FindRoute(std::string_view path) {
   static constexpr auto clear = [](Self& self, const Call&) -> Answer {
     (void)self.repo_.RemoveAll();
     self.search_.Clear();
-    self.ResetTenantRowCounts();  // everything gone -> row quotas reset
     return Value::MakeObject();
   };
   // Capture under a shared lock (row copies, or cached text for tables
@@ -1229,7 +1183,6 @@ const LaminarServer::Route* LaminarServer::FindRoute(std::string_view path) {
     Status st = self.db_.LoadFromFile(c.body.GetString("path"));
     if (st.ok()) st = self.search_.ReindexAll(self.ingest_pool_.get());
     if (!st.ok()) return st;
-    self.ResetTenantRowCounts();  // loaded rows replace all row counts
     Value resp = Value::MakeObject();
     resp["pes"] = self.repo_.PeCount();
     resp["workflows"] = self.repo_.WorkflowCount();
@@ -1407,9 +1360,6 @@ const LaminarServer::Route* LaminarServer::FindRoute(std::string_view path) {
     vi["quantize"] = vopts.quantize;
     vi["rerankOverfetch"] = vopts.rerank_overfetch;
     resp["search"]["vectorIndex"] = std::move(vi);
-    // Which kernel tier the dispatched dot products run on.
-    resp["search"]["simd"]["tier"] =
-        std::string(simd::TierName(simd::ActiveTier()));
     Value indexes = Value::MakeObject();
     for (const auto& [name, istats] : self.search_.IndexStats()) {
       Value one = Value::MakeObject();
@@ -1426,47 +1376,12 @@ const LaminarServer::Route* LaminarServer::FindRoute(std::string_view path) {
       indexes[name] = std::move(one);
     }
     resp["search"]["indexes"] = std::move(indexes);
-    // Telemetry view: the same registry the /execute ##END## chunk reads,
-    // so streamed totals and /stats totals cannot disagree.
-    auto& reg = telemetry::MetricsRegistry::Global();
-    Value totals = engine::ExecutionTotalsJson();
-    // Ingest totals: per-phase op counts and mean latency, plus
-    // the duration of the last bulk index build.
-    const auto encode = IngestHistogram("encode").snapshot();
-    const auto commit = IngestHistogram("commit").snapshot();
-    totals["ingest"]["encodeOps"] =
-        static_cast<int64_t>(IngestCounter("encode").Value());
-    totals["ingest"]["commitOps"] =
-        static_cast<int64_t>(IngestCounter("commit").Value());
-    totals["ingest"]["encodeMsMean"] = encode.Mean();
-    totals["ingest"]["commitMsMean"] = commit.Mean();
-    totals["ingest"]["bulkBuildMs"] =
-        reg.GetGauge("laminar_search_bulk_build_ms").Value();
-    resp["totals"] = std::move(totals);
-    // Transport tier: connection and byte counters from the TCP
-    // listener/stream instrumentation. All zero when every client is on the
-    // in-memory pipe transport.
-    Value netv = Value::MakeObject();
-    netv["openConnections"] =
-        reg.GetGauge("laminar_net_connections", "state=\"open\"").Value();
-    netv["accepted"] = static_cast<int64_t>(
-        reg.GetCounter("laminar_net_connections_total", "state=\"accepted\"")
-            .Value());
-    netv["rejected"] = static_cast<int64_t>(
-        reg.GetCounter("laminar_net_connections_total", "state=\"rejected\"")
-            .Value());
-    netv["bytesRead"] = static_cast<int64_t>(
-        reg.GetCounter("laminar_net_bytes_read_total").Value());
-    netv["bytesWritten"] = static_cast<int64_t>(
-        reg.GetCounter("laminar_net_bytes_written_total").Value());
-    netv["protocolErrors"] = static_cast<int64_t>(
-        reg.GetCounter("laminar_net_protocol_errors_total").Value());
-    resp["net"] = std::move(netv);
-    // Per-tenant slice (ROADMAP item 3): boundary-admission counters merged
-    // with the run queue's scheduling snapshot, keyed by tenant name. The
+    // Per-tenant slice (ROADMAP item 3): boundary-admission counters and the
+    // tables' row counts, merged with the run queue's scheduling snapshot,
+    // keyed by tenant name. The
     // runsSucceeded/runsFailed counters reconcile with the ##END## totals
     // each tenant's /execute streams observed.
-    Value tenants = self.admission_.StatsJson();
+    Value tenants = self.admission_.StatsJson(self.repo_.TenantRowCounts());
     for (const auto& [name, qs] : self.run_queue_.Snapshot()) {
       Value& t = tenants[name];
       t["runsAdmitted"] = static_cast<int64_t>(qs.admitted);
@@ -1493,6 +1408,10 @@ const LaminarServer::Route* LaminarServer::FindRoute(std::string_view path) {
       resp["wal"] = std::move(wal);
     }
     resp["replication"] = self.ReplicationStatusJson();
+    // Process-wide counters, gauges and histograms (engine and ingest
+    // totals, transport, SIMD tier) come from the registry /metrics
+    // renders, so the two cannot disagree.
+    auto& reg = telemetry::MetricsRegistry::Global();
     resp["metrics"] = reg.RenderJson();
     resp["trace"] = reg.trace().ToJson();
     return resp;

@@ -119,17 +119,13 @@ class LaminarServer {
   };
   Result<PreparedPeReg> PreparePeRegistration(const Value& pe_obj,
                                               const std::string& tenant) const;
-  /// Requires mu_ held exclusively. Enforces the tenant PE quota and keeps
-  /// the admission controller's row counts in step with the repository.
+  /// Requires mu_ held exclusively. Enforces the tenant PE quota against
+  /// the row count the PE table keeps.
   Result<int64_t> CommitPeRegistration(PreparedPeReg prepared);
-  /// The row half of CommitPeRegistration (quota, insert, row count): the
-  /// record is consumed and the caller commits `prepared.index` to search,
-  /// which lets /registry/bulk_register commit a whole batch at once.
+  /// The row half of CommitPeRegistration (quota, insert): the record is
+  /// consumed and the caller commits `prepared.index` to search, which lets
+  /// /registry/bulk_register commit a whole batch at once.
   Result<int64_t> InsertPeRow(PreparedPeReg& prepared);
-  /// Rebuilds the admission controller's per-tenant row counts from the
-  /// repository (after recovery, /registry/load, /registry/remove_all).
-  /// Requires mu_ held exclusively (or constructor single-threadedness).
-  void ResetTenantRowCounts();
 
   Value PeToJson(const registry::PeRecord& pe, bool with_code) const;
   Value WorkflowToJson(const registry::WorkflowRecord& wf,
@@ -143,8 +139,8 @@ class LaminarServer {
                      const std::string& tenant, net::StreamResponder& out);
 
   // Replication plumbing (see replication.hpp for the protocol).
-  /// Follower bootstrap hook: loads the leader snapshot document, rebuilds
-  /// the search indexes and tenant row counts. Takes mu_ exclusively.
+  /// Follower bootstrap hook: loads the leader snapshot document and
+  /// rebuilds the search indexes. Takes mu_ exclusively.
   Result<uint64_t> BootstrapFromSnapshot(const std::string& snapshot_doc);
   /// Follower apply hook: one fetch batch through Database::ApplyWalRecord
   /// under a single exclusive lock, maintaining search incrementally.

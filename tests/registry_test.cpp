@@ -2,6 +2,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <map>
+#include <string>
+#include <unordered_map>
 
 #include "registry/repository.hpp"
 #include "registry/schema.hpp"
@@ -146,6 +149,52 @@ TEST(Table, IndexedLookupAvoidsScan) {
   t.FindBy("score", Value(1.0));
   EXPECT_EQ(t.stats().full_scans, 1u);
   EXPECT_GE(t.stats().rows_scanned, 100u);
+}
+
+TEST(Table, CountedColumnTracksEveryMutationPath) {
+  TableSchema schema = SimpleSchema();
+  schema.columns.push_back({"owner", ColumnType::kString, true});
+  schema.counted_columns = {"owner"};
+  Table t(schema);
+  auto owned = [](const std::string& name, const char* owner) {
+    Row row = MakeRow(name);
+    if (owner != nullptr) row["owner"] = owner;
+    return row;
+  };
+  using Counts = std::unordered_map<std::string, size_t>;
+  const int64_t a = t.Insert(owned("a", "x")).value();
+  t.Insert(owned("b", "x")).value();
+  const int64_t c = t.Insert(owned("c", nullptr)).value();  // null: ""
+  EXPECT_EQ(t.RowCounts("owner"), (Counts{{"x", 2}, {"", 1}}));
+  EXPECT_TRUE(t.RowCounts("name").empty());  // not a counted column
+
+  Row to_y = Value::MakeObject();
+  to_y["owner"] = "y";
+  ASSERT_TRUE(t.Update(a, to_y).ok());
+  EXPECT_TRUE(t.Erase(c));
+  EXPECT_EQ(t.RowCounts("owner"), (Counts{{"x", 1}, {"y", 1}}));
+
+  // Snapshot load and WAL-style restore rebuild the counts.
+  const Value snapshot = t.ToJson();
+  t.Clear();
+  EXPECT_TRUE(t.RowCounts("owner").empty());
+  ASSERT_TRUE(t.LoadRows(snapshot).ok());
+  EXPECT_EQ(t.RowCounts("owner"), (Counts{{"x", 1}, {"y", 1}}));
+  Row restored = t.Get(a).value();
+  restored["owner"] = "x";
+  ASSERT_TRUE(t.RestoreRow(restored).ok());  // replaces row a
+  EXPECT_EQ(t.RowCounts("owner"), (Counts{{"x", 2}}));
+}
+
+TEST(Table, LoadWithABadRowReplacesNothing) {
+  Table t(SimpleSchema());
+  t.Insert(MakeRow("kept")).value();
+  Value snapshot = Value::MakeObject();
+  snapshot["rows"] = Value::MakeArray();
+  snapshot["rows"].push_back(MakeRow("no id"));
+  EXPECT_FALSE(t.LoadRows(snapshot).ok());
+  EXPECT_EQ(t.size(), 1u);
+  EXPECT_EQ(t.FindBy("name", Value("kept")).size(), 1u);
 }
 
 TEST(Table, ScanAscendingIdOrder) {
@@ -338,6 +387,61 @@ TEST(Database, PersistenceRoundTrip) {
     EXPECT_EQ(db.GetTable(kPeTable)->stats().full_scans, 0u);
   }
   std::remove(path.c_str());
+}
+
+TEST(Database, LoadChecksEveryTableBeforeReplacingAny) {
+  Database db;
+  ASSERT_TRUE(CreateLaminarSchema(db).ok());
+  Repository repo(db);
+  PeRecord pe;
+  pe.name = "Kept";
+  pe.code = "c";
+  pe.tenant = "alice";
+  repo.CreatePe(pe).value();
+  const std::string before = db.Dump();
+  // Empties the PE table, then fails on the last table's keyless row.
+  Result<uint64_t> loaded = db.LoadFromText(
+      "{\"__wal_seq\": 0, \"processing_element\": {\"next_id\": 1, "
+      "\"rows\": []}, \"response\": {\"next_id\": 1, \"rows\": "
+      "[{\"executionId\": 1}]}}");
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_EQ(db.Dump(), before);
+  EXPECT_EQ(repo.RowsOwnedBy("alice").pes, 1);
+}
+
+TEST(Repository, TenantCountsMapLegacyRowsToDefault) {
+  Database db;
+  ASSERT_TRUE(CreateLaminarSchema(db).ok());
+  Repository repo(db);
+  int64_t uid = repo.CreateUser("u", "pw").value();
+  for (const char* tenant : {"alice", "alice", "", "default"}) {
+    PeRecord pe;
+    pe.name = std::string("pe_") + tenant;
+    pe.code = "c";
+    pe.tenant = tenant;
+    repo.CreatePe(pe).value();
+  }
+  Row legacy = Value::MakeObject();  // written before the tenant column
+  legacy["peName"] = "legacy";
+  legacy["peCode"] = "c";
+  ASSERT_TRUE(db.Insert(kPeTable, std::move(legacy)).ok());
+  WorkflowRecord wf;
+  wf.user_id = uid;
+  wf.name = "wf";
+  wf.code = "c";
+  wf.tenant = "bob";
+  repo.CreateWorkflow(wf).value();
+
+  EXPECT_EQ(repo.RowsOwnedBy("alice").pes, 2);
+  EXPECT_EQ(repo.RowsOwnedBy("default").pes, 3);  // "", "default", missing
+  EXPECT_EQ(repo.RowsOwnedBy("bob").pes, 0);
+  EXPECT_EQ(repo.RowsOwnedBy("bob").workflows, 1);
+  std::map<std::string, TenantRows> all = repo.TenantRowCounts();
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all["alice"].pes, 2);
+  EXPECT_EQ(all["default"].pes, 3);
+  EXPECT_EQ(all["bob"].pes, 0);
+  EXPECT_EQ(all["bob"].workflows, 1);
 }
 
 TEST(Database, LoadMissingFileFails) {

@@ -4,11 +4,15 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "client/connect.hpp"
 #include "client/demo_workflows.hpp"
+#include "common/json.hpp"
+#include "registry/schema.hpp"
 
 namespace laminar::client {
 namespace {
@@ -119,6 +123,75 @@ TEST(ServerExtras, RowCountsInStatsAndLoadMatchTheRegistry) {
     EXPECT_EQ(stats->GetInt("workflows"), loaded->GetInt("workflows"));
   }
   std::remove(path.c_str());
+}
+
+TEST(ServerExtras, LoadWithABadRowInTheLastTableChangesNothing) {
+  // The snapshot empties the PE table, and its last table (responses) holds
+  // a row with no primary key. The load must fail before it replaces any
+  // table, so the registry and its search indexes stay as they were.
+  namespace fs = std::filesystem;
+  const std::string saved =
+      (fs::temp_directory_path() / "laminar_server_bad_load_src.json")
+          .string();
+  const std::string crafted =
+      (fs::temp_directory_path() / "laminar_server_bad_load.json").string();
+  InProcessLaminar laminar = ConnectInProcess(FastServer());
+  const DemoWorkflow* demo = FindDemoWorkflow("anomaly_wf");
+  ASSERT_TRUE(laminar.client
+                  ->RegisterWorkflow(demo->name, demo->spec, demo->pes,
+                                     demo->code)
+                  .ok());
+  laminar.client->SetTenant("alice");
+  ASSERT_TRUE(laminar.client
+                  ->RegisterPe("class Own:\n    def process(self, x):\n"
+                               "        return x\n")
+                  .ok());
+  laminar.client->SetTenant("");
+  ASSERT_TRUE(laminar.client->SaveRegistry(saved).ok());
+  {
+    std::ifstream in(saved);
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    Result<Value> doc = json::Parse(text);
+    ASSERT_TRUE(doc.ok());
+    (*doc)[registry::kPeTable]["rows"] = Value::MakeArray();
+    Value bad_row = Value::MakeObject();
+    bad_row["executionId"] = 1;
+    (*doc)[registry::kResponseTable]["rows"].push_back(std::move(bad_row));
+    std::ofstream(crafted) << doc->ToJson();
+  }
+
+  auto observe = [&] {
+    Value seen = Value::MakeObject();
+    Result<Value> list =
+        laminar.client->CallEndpoint("/registry/list", Value::MakeObject());
+    Value query = Value::MakeObject();
+    query["query"] = "a pe that is able to detect anomalies";
+    Result<Value> search =
+        laminar.client->CallEndpoint("/search/semantic", query);
+    Result<Value> stats = laminar.client->GetStats();
+    EXPECT_TRUE(list.ok() && search.ok() && stats.ok());
+    if (!list.ok() || !search.ok() || !stats.ok()) return seen;
+    seen["list"] = list.value();
+    seen["search"] = search.value();
+    seen["pes"] = stats->at("pes");
+    seen["workflows"] = stats->at("workflows");
+    for (const auto& [tenant, t] : stats->at("tenants").as_object()) {
+      seen["tenants"][tenant]["pes"] = t.at("pes");
+      seen["tenants"][tenant]["workflows"] = t.at("workflows");
+    }
+    return seen;
+  };
+  const Value before = observe();
+  ASSERT_FALSE(before.at("search").at("hits").as_array().empty())
+      << before.ToJson();
+  Status st = laminar.client->LoadRegistry(crafted);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("primary key"), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(observe().ToJson(), before.ToJson());
+  std::remove(saved.c_str());
+  std::remove(crafted.c_str());
 }
 
 TEST(ServerExtras, SaveRequiresPath) {

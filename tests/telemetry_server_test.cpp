@@ -1,6 +1,6 @@
 // Server-level telemetry tests: the GET /metrics Prometheus scrape, the
 // telemetry block of POST /stats, and the guarantee that the /execute
-// ##END## totals and /stats totals are read from the same registry.
+// ##END## totals and the /stats metrics are read from the same registry.
 //
 // The registry is process-wide, so all assertions are monotonic (>=) or
 // compare two views captured at the same moment — other tests in this
@@ -108,14 +108,19 @@ TEST(TelemetryServer, StatsCarriesTelemetryView) {
   EXPECT_EQ(stats->GetInt("pes"), 3);
   EXPECT_EQ(stats->GetInt("workflows"), 1);
 
-  // Telemetry totals: cumulative execution counts and percentiles.
-  const Value& totals = stats->at("totals");
-  EXPECT_GE(totals.GetInt("executionsTotal"), 1);
-  EXPECT_GE(totals.GetInt("executionsOk"), 1);
-  EXPECT_GE(totals.GetInt("coldStartsTotal"), 1);
-  EXPECT_GT(totals.GetInt("tuplesTotal"), 0);
-  EXPECT_GE(totals.GetDouble("runMsP95"), totals.GetDouble("runMsP50"));
-  EXPECT_GE(totals.GetInt("coldStartSamples"), 1);
+  // Process-wide execution counts come from the registry under "metrics",
+  // not from a second copy in the body.
+  EXPECT_FALSE(stats->contains("totals"));
+  EXPECT_FALSE(stats->contains("net"));
+  EXPECT_FALSE(stats->at("search").contains("simd"));
+  const Value& counters = stats->at("metrics").at("counters");
+  EXPECT_GE(counters.GetInt("laminar_engine_executions_total{result=\"ok\"}"),
+            1);
+  EXPECT_GE(counters.GetInt("laminar_engine_cold_starts_total"), 1);
+  EXPECT_GT(counters.GetInt("laminar_engine_tuples_total"), 0);
+  const Value& run_ms =
+      stats->at("metrics").at("histograms").at("laminar_engine_run_ms");
+  EXPECT_GE(run_ms.GetDouble("p95"), run_ms.GetDouble("p50"));
 
   // Full metric dump and recent trace spans ride along.
   EXPECT_TRUE(stats->at("metrics").at("counters").is_object());
@@ -137,16 +142,21 @@ TEST(TelemetryServer, EndChunkTotalsMatchStatsTotals) {
 
   Result<Value> stats = laminar.client->GetStats();
   ASSERT_TRUE(stats.ok());
-  const Value& stats_totals = stats->at("totals");
+  const Value& counters = stats->at("metrics").at("counters");
 
-  // Same registry, and nothing executed in between: the cumulative counts
-  // must agree exactly.
-  EXPECT_EQ(end_totals.GetInt("executionsTotal"),
-            stats_totals.GetInt("executionsTotal"));
+  // Same registry, and nothing executed in between: the ##END## totals
+  // must equal the counters /stats serves under "metrics" exactly.
+  EXPECT_EQ(end_totals.GetInt("executionsOk"),
+            counters.GetInt("laminar_engine_executions_total{result=\"ok\"}"));
+  EXPECT_EQ(
+      end_totals.GetInt("executionsError"),
+      counters.GetInt("laminar_engine_executions_total{result=\"error\"}"));
   EXPECT_EQ(end_totals.GetInt("tuplesTotal"),
-            stats_totals.GetInt("tuplesTotal"));
+            counters.GetInt("laminar_engine_tuples_total"));
   EXPECT_EQ(end_totals.GetInt("coldStartsTotal"),
-            stats_totals.GetInt("coldStartsTotal"));
+            counters.GetInt("laminar_engine_cold_starts_total"));
+  EXPECT_EQ(end_totals.GetInt("linesTotal"),
+            counters.GetInt("laminar_engine_output_lines_total"));
   // And the per-run fields still exist alongside.
   EXPECT_GT(outcome.stats.GetInt("tuples"), 0);
 }

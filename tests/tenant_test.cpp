@@ -3,19 +3,26 @@
 // deadlines; AdmissionController's token bucket and row quotas; and the
 // server boundary end to end — tenant resolution (body field > header >
 // default), row visibility scoping, 429-with-retry-hint quota refusals, and
-// the per-tenant /stats slice reconciling with actual run outcomes.
+// the per-tenant /stats slice reconciling with actual run outcomes, and the
+// per-tenant row counts staying equal to the registry on every mutation
+// path (registration, removal, load, WAL recovery, replication).
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "client/connect.hpp"
 #include "client/demo_workflows.hpp"
 #include "common/clock.hpp"
 #include "engine/run_queue.hpp"
+#include "registry/schema.hpp"
 #include "server/admission.hpp"
 
 namespace laminar {
@@ -264,24 +271,23 @@ TEST(Admission, RowQuotasTrackLiveCounts) {
   small.max_workflows = 1;
   server::AdmissionController admission({}, {{"t", small}});
 
-  EXPECT_TRUE(admission.AdmitPes("t", 2).ok());
-  EXPECT_EQ(admission.AdmitPes("t", 3).code(),
+  // The caller passes the live count; the quota bounds count + additional.
+  EXPECT_TRUE(admission.AdmitPes("t", 0, 2).ok());
+  EXPECT_EQ(admission.AdmitPes("t", 0, 3).code(),
             StatusCode::kResourceExhausted);
-  admission.OnPesChanged("t", 2);
-  EXPECT_EQ(admission.AdmitPes("t", 1).code(),
-            StatusCode::kResourceExhausted);
-  admission.OnPesChanged("t", -1);
-  EXPECT_TRUE(admission.AdmitPes("t", 1).ok());
+  Status full = admission.AdmitPes("t", 2, 1);
+  EXPECT_EQ(full.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(full.ToString().find("(2/2)"), std::string::npos)
+      << full.ToString();
+  EXPECT_TRUE(admission.AdmitPes("t", 1, 1).ok());
 
-  EXPECT_TRUE(admission.AdmitWorkflows("t", 1).ok());
-  admission.OnWorkflowsChanged("t", 1);
-  EXPECT_EQ(admission.AdmitWorkflows("t", 1).code(),
+  EXPECT_TRUE(admission.AdmitWorkflows("t", 0, 1).ok());
+  EXPECT_EQ(admission.AdmitWorkflows("t", 1, 1).code(),
             StatusCode::kResourceExhausted);
 
-  // Reload replaces the counts wholesale (registry/load, recovery).
-  admission.ResetRowCounts({{"t", {0, 0}}});
-  EXPECT_TRUE(admission.AdmitPes("t", 2).ok());
-  EXPECT_TRUE(admission.AdmitWorkflows("t", 1).ok());
+  // Tenants without an override inherit the unlimited defaults.
+  EXPECT_TRUE(admission.AdmitPes("other", 1000, 1000).ok());
+  EXPECT_TRUE(admission.AdmitWorkflows("other", 1000, 1000).ok());
 }
 
 // ---- server boundary end to end ----------------------------------------
@@ -467,6 +473,247 @@ TEST(TenantServer, StatsReconcileWithRunOutcomes) {
   EXPECT_EQ(tenants.at("alice").GetInt("running"), 0);  // all released
   EXPECT_EQ(tenants.at("default").GetInt("runsSucceeded"), 1);
   EXPECT_EQ(stats->at("runQueue").GetInt("queued"), 0);
+}
+
+// ---- per-tenant row counts -----------------------------------------------
+
+std::string PeSourceCode(const std::string& cls) {
+  return "class " + cls + "(IterativePE):\n"
+         "    def _process(self, x):\n"
+         "        return x\n";
+}
+
+/// /stats tenants.<t>.pes/workflows must equal a count over every stored
+/// row grouped by owner, and every tenant owning a row must be listed.
+void ExpectTenantCountsMatchRegistry(server::LaminarServer& server,
+                                     client::LaminarClient& client,
+                                     const std::string& where) {
+  SCOPED_TRACE(where);
+  client.SetTenant("");
+  Result<Value> stats = client.GetStats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  std::map<std::string, registry::TenantRows> want;
+  for (const registry::PeRecord& pe : server.repository().AllPes()) {
+    ++want[std::string(registry::RowTenant(pe.tenant))].pes;
+  }
+  for (const registry::WorkflowRecord& wf :
+       server.repository().AllWorkflows()) {
+    ++want[std::string(registry::RowTenant(wf.tenant))].workflows;
+  }
+  const Value& tenants = stats->at("tenants");
+  for (const auto& [tenant, rows] : want) {
+    ASSERT_TRUE(tenants.contains(tenant)) << tenant << " in "
+                                          << tenants.ToJson();
+    EXPECT_EQ(tenants.at(tenant).GetInt("pes"), rows.pes) << tenant;
+    EXPECT_EQ(tenants.at(tenant).GetInt("workflows"), rows.workflows)
+        << tenant;
+  }
+  for (const auto& [tenant, t] : tenants.as_object()) {
+    if (want.contains(tenant)) continue;
+    EXPECT_EQ(t.GetInt("pes"), 0) << tenant;
+    EXPECT_EQ(t.GetInt("workflows"), 0) << tenant;
+  }
+}
+
+/// Waits until the follower has applied everything the leader has logged.
+void AwaitFollower(client::LaminarClient& leader,
+                   client::LaminarClient& follower) {
+  Result<Value> head = leader.ReplicationStatus();
+  ASSERT_TRUE(head.ok()) << head.status().ToString();
+  const int64_t want = head->GetInt("headSeq", 0);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (true) {
+    Result<Value> status = follower.ReplicationStatus();
+    if (status.ok() && status->GetInt("appliedSeq", 0) >= want) return;
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "follower never reached seq " << want;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+}
+
+class TenantRowCounts : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const std::string tag = (std::filesystem::temp_directory_path() /
+                             ("laminar_tenant_rows_" +
+                              std::to_string(::getpid())))
+                                .string();
+    wal_path_ = tag + "_wal.jsonl";
+    snapshot_path_ = tag + "_snap.json";
+    saved_path_ = tag + "_saved.json";
+    TearDown();
+  }
+  void TearDown() override {
+    for (const std::string& p : {wal_path_, snapshot_path_, saved_path_}) {
+      std::filesystem::remove(p);
+    }
+  }
+
+  std::unique_ptr<client::TcpLaminarServer> Serve(server::ServerConfig config) {
+    config.engine.cold_start_ms = 0;
+    net::TcpListenerConfig listener;
+    listener.port = 0;
+    Result<client::TcpLaminarServer> served =
+        client::ServeTcp(std::move(config), listener);
+    EXPECT_TRUE(served.ok()) << served.status().ToString();
+    if (!served.ok()) return nullptr;
+    return std::make_unique<client::TcpLaminarServer>(
+        std::move(served.value()));
+  }
+  std::unique_ptr<client::TcpLaminarServer> ServeLeader() {
+    server::ServerConfig config;
+    config.wal_path = wal_path_;
+    config.snapshot_path = snapshot_path_;
+    return Serve(config);
+  }
+
+  std::string wal_path_;
+  std::string snapshot_path_;
+  std::string saved_path_;
+};
+
+TEST_F(TenantRowCounts, StatsMatchTheRegistryOnEveryMutationPath) {
+  std::unique_ptr<client::TcpLaminarServer> leader = ServeLeader();
+  ASSERT_NE(leader, nullptr);
+  Result<client::TcpClient> cli = client::ConnectTcp("127.0.0.1",
+                                                     leader->port());
+  ASSERT_TRUE(cli.ok()) << cli.status().ToString();
+  client::LaminarClient& c = *cli->client;
+  auto check = [&](const std::string& where) {
+    ExpectTenantCountsMatchRegistry(*leader->server, c, where);
+  };
+
+  // /pes/register for three owners, default included.
+  c.SetTenant("alice");
+  ASSERT_TRUE(c.RegisterPe(PeSourceCode("AliceA")).ok());
+  Result<client::PeInfo> alice_b = c.RegisterPe(PeSourceCode("AliceB"));
+  ASSERT_TRUE(alice_b.ok());
+  c.SetTenant("bob");
+  ASSERT_TRUE(c.RegisterPe(PeSourceCode("BobA")).ok());
+  c.SetTenant("");
+  ASSERT_TRUE(c.RegisterPe(PeSourceCode("Shared")).ok());
+  ASSERT_NO_FATAL_FAILURE(check("register"));
+
+  // /registry/bulk_register.
+  c.SetTenant("alice");
+  std::vector<client::PeSource> bulk(3);
+  for (size_t i = 0; i < bulk.size(); ++i) {
+    bulk[i].code = PeSourceCode("Bulk" + std::to_string(i));
+  }
+  ASSERT_TRUE(c.BulkRegisterPes(bulk).ok());
+  ASSERT_NO_FATAL_FAILURE(check("bulk_register"));
+
+  // /workflows/register with member PEs.
+  const client::DemoWorkflow* demo = client::FindDemoWorkflow("isprime_wf");
+  c.SetTenant("bob");
+  Result<client::WorkflowInfo> wf =
+      c.RegisterWorkflow(demo->name, demo->spec, demo->pes, demo->code);
+  ASSERT_TRUE(wf.ok()) << wf.status().ToString();
+  ASSERT_NO_FATAL_FAILURE(check("workflow register"));
+
+  // /pes/remove and /workflows/remove.
+  c.SetTenant("alice");
+  ASSERT_TRUE(c.RemovePe(alice_b->id).ok());
+  c.SetTenant("bob");
+  ASSERT_TRUE(c.RemoveWorkflow(wf->id).ok());
+  ASSERT_NO_FATAL_FAILURE(check("remove"));
+
+  // /registry/save, a further registration, then /registry/load.
+  c.SetTenant("");
+  ASSERT_TRUE(c.SaveRegistry(saved_path_).ok());
+  c.SetTenant("carol");
+  ASSERT_TRUE(c.RegisterPe(PeSourceCode("CarolA")).ok());
+  c.SetTenant("");
+  ASSERT_TRUE(c.LoadRegistry(saved_path_).ok());
+  ASSERT_NO_FATAL_FAILURE(check("save + load"));
+
+  // A restart recovers the registry from the WAL. The old connection goes
+  // first, so the old server shuts down with no client attached.
+  cli = Status::Unavailable("restarting");
+  leader.reset();
+  leader = ServeLeader();
+  ASSERT_NE(leader, nullptr);
+  cli = client::ConnectTcp("127.0.0.1", leader->port());
+  ASSERT_TRUE(cli.ok()) << cli.status().ToString();
+  client::LaminarClient& c2 = *cli->client;
+  ASSERT_GT(leader->server->repository().PeCount(), 0u);
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectTenantCountsMatchRegistry(*leader->server, c2, "WAL recovery"));
+
+  // A follower bootstraps from the snapshot, then applies a replicated
+  // insert, erase and clear.
+  server::ServerConfig follower_config;
+  follower_config.replica_of = "127.0.0.1:" + std::to_string(leader->port());
+  std::unique_ptr<client::TcpLaminarServer> follower = Serve(follower_config);
+  ASSERT_NE(follower, nullptr);
+  Result<client::TcpClient> fcli =
+      client::ConnectTcp("127.0.0.1", follower->port());
+  ASSERT_TRUE(fcli.ok()) << fcli.status().ToString();
+  client::LaminarClient& f = *fcli->client;
+  auto check_follower = [&](const std::string& where) {
+    ASSERT_NO_FATAL_FAILURE(AwaitFollower(c2, f));
+    ExpectTenantCountsMatchRegistry(*follower->server, f, where);
+  };
+  ASSERT_NO_FATAL_FAILURE(check_follower("follower bootstrap"));
+  c2.SetTenant("dave");
+  Result<client::PeInfo> dave = c2.RegisterPe(PeSourceCode("DaveA"));
+  ASSERT_TRUE(dave.ok());
+  ASSERT_NO_FATAL_FAILURE(check_follower("replicated insert"));
+  ASSERT_TRUE(c2.RemovePe(dave->id).ok());
+  ASSERT_NO_FATAL_FAILURE(check_follower("replicated erase"));
+  c2.SetTenant("");
+  ASSERT_TRUE(c2.RemoveAll().ok());
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectTenantCountsMatchRegistry(*leader->server, c2, "remove_all"));
+  ASSERT_NO_FATAL_FAILURE(check_follower("replicated clear"));
+  EXPECT_EQ(follower->server->repository().PeCount(), 0u);
+}
+
+TEST_F(TenantRowCounts, PreTenancySnapshotRowsCountAsDefault) {
+  // A snapshot written before tenancy existed: its rows have no tenant
+  // column at all.
+  {
+    registry::Database db;
+    ASSERT_TRUE(registry::CreateLaminarSchema(db).ok());
+    registry::Repository repo(db);
+    Result<int64_t> user = repo.CreateUser("legacy", "pw");
+    ASSERT_TRUE(user.ok());
+    for (const char* name : {"OldA", "OldB", "OldC"}) {
+      Value pe = Value::MakeObject();
+      pe["peName"] = name;
+      pe["peCode"] = PeSourceCode(name);
+      ASSERT_TRUE(db.Insert(registry::kPeTable, std::move(pe)).ok());
+    }
+    Value wf = Value::MakeObject();
+    wf["userId"] = user.value();
+    wf["workflowName"] = "old_wf";
+    wf["workflowCode"] = "pass";
+    ASSERT_TRUE(db.Insert(registry::kWorkflowTable, std::move(wf)).ok());
+    ASSERT_TRUE(db.SaveToFile(saved_path_).ok());
+  }
+  server::ServerConfig config;
+  TenantQuotas four_pes;
+  four_pes.max_pes = 4;
+  config.tenant_overrides[std::string(server::kDefaultTenant)] = four_pes;
+  std::unique_ptr<client::TcpLaminarServer> served = Serve(config);
+  ASSERT_NE(served, nullptr);
+  Result<client::TcpClient> cli =
+      client::ConnectTcp("127.0.0.1", served->port());
+  ASSERT_TRUE(cli.ok());
+  client::LaminarClient& c = *cli->client;
+  ASSERT_TRUE(c.LoadRegistry(saved_path_).ok());
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectTenantCountsMatchRegistry(*served->server, c, "legacy load"));
+  Result<Value> stats = c.GetStats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->at("tenants").at("default").GetInt("pes"), 3);
+  EXPECT_EQ(stats->at("tenants").at("default").GetInt("workflows"), 1);
+  // The legacy rows count against the default tenant's quota.
+  ASSERT_TRUE(c.RegisterPe(PeSourceCode("NewA")).ok());
+  Result<client::PeInfo> over = c.RegisterPe(PeSourceCode("NewB"));
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
 }
 
 }  // namespace

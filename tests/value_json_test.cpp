@@ -435,5 +435,157 @@ TEST(JsonWriterParity, EmbeddingToJsonMatchesTheValueArrayPath) {
   EXPECT_EQ(embed::ToJson({}), "[]");
 }
 
+// ---- String decoding parity ----
+//
+// The reader appends each verbatim run of a string in one go. The oracle is
+// the decoder it replaced, which appended one character at a time; decoded
+// bytes, and the error and its offset for malformed strings, must match.
+
+void OracleUtf8(std::string& out, uint32_t cp) {
+  if (cp < 0x80) {
+    out += static_cast<char>(cp);
+  } else if (cp < 0x800) {
+    out += static_cast<char>(0xC0 | (cp >> 6));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else if (cp < 0x10000) {
+    out += static_cast<char>(0xE0 | (cp >> 12));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else {
+    out += static_cast<char>(0xF0 | (cp >> 18));
+    out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  }
+}
+
+/// Decodes the string literal that starts `doc` and must end it.
+Result<std::string> OracleParseString(const std::string& doc) {
+  size_t pos = 1;
+  auto fail = [&](const std::string& msg) {
+    return Status::ParseError(msg + " at offset " + std::to_string(pos));
+  };
+  auto hex4 = [&](uint32_t* value) -> Status {
+    if (pos + 4 > doc.size()) return fail("truncated \\u escape");
+    *value = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char c = doc[pos + static_cast<size_t>(i)];
+      *value <<= 4;
+      if (c >= '0' && c <= '9') *value |= static_cast<uint32_t>(c - '0');
+      else if (c >= 'a' && c <= 'f') *value |= static_cast<uint32_t>(c - 'a' + 10);
+      else if (c >= 'A' && c <= 'F') *value |= static_cast<uint32_t>(c - 'A' + 10);
+      else return fail("invalid hex digit in \\u escape");
+    }
+    pos += 4;
+    return Status::Ok();
+  };
+  std::string out;
+  while (true) {
+    if (pos >= doc.size()) return fail("unterminated string");
+    const char c = doc[pos++];
+    if (c == '"') return out;
+    if (static_cast<unsigned char>(c) < 0x20) {
+      return fail("raw control character in string");
+    }
+    if (c != '\\') {
+      out += c;
+      continue;
+    }
+    if (pos >= doc.size()) return fail("unterminated escape");
+    const char esc = doc[pos++];
+    switch (esc) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case '/': out += '/'; break;
+      case 'b': out += '\b'; break;
+      case 'f': out += '\f'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        uint32_t code = 0;
+        if (Status st = hex4(&code); !st.ok()) return st;
+        if (code >= 0xD800 && code <= 0xDBFF) {
+          if (pos + 1 < doc.size() && doc[pos] == '\\' && doc[pos + 1] == 'u') {
+            pos += 2;
+            uint32_t lo = 0;
+            if (Status st = hex4(&lo); !st.ok()) return st;
+            if (lo < 0xDC00 || lo > 0xDFFF) {
+              return fail("invalid low surrogate");
+            }
+            code = 0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00);
+          } else {
+            return fail("lone high surrogate");
+          }
+        } else if (code >= 0xDC00 && code <= 0xDFFF) {
+          return fail("lone low surrogate");
+        }
+        OracleUtf8(out, code);
+        break;
+      }
+      default:
+        return fail("invalid escape character");
+    }
+  }
+}
+
+/// Parses `doc` (a string literal, possibly malformed) both ways.
+void ExpectStringParity(const std::string& doc) {
+  Result<std::string> want = OracleParseString(doc);
+  Result<Value> got = json::Parse(doc);
+  ASSERT_EQ(got.ok(), want.ok()) << doc;
+  if (want.ok()) {
+    ASSERT_TRUE(got->is_string()) << doc;
+    ASSERT_EQ(got->as_string(), want.value()) << doc;
+  } else {
+    ASSERT_EQ(got.status().ToString(), want.status().ToString()) << doc;
+  }
+}
+
+TEST(JsonReaderParity, EveryByteInEveryPositionMatchesTheOldDecoder) {
+  for (int c = 0; c < 256; ++c) {
+    if (c == '"') continue;  // would end the literal early
+    const std::string ch(1, static_cast<char>(c));
+    for (const std::string& body :
+         {ch, ch + "xyz", "xyz" + ch, "x" + ch + "yz", ch + ch,
+          "\\" + ch, "ab\\" + ch + "cd"}) {
+      ASSERT_NO_FATAL_FAILURE(ExpectStringParity('"' + body + '"'));
+      // Unterminated: the run reaches the end of the document.
+      ASSERT_NO_FATAL_FAILURE(ExpectStringParity('"' + body));
+    }
+  }
+}
+
+TEST(JsonReaderParity, EscapesSurrogatesAndLongRuns) {
+  const std::string run(20000, 'r');
+  for (const std::string& body : std::vector<std::string>{
+           "", "\\\"\\\\\\/\\b\\f\\n\\r\\t",
+           "\\u0041\\u00e9\\u20ac\\uFFFF\\u0000",
+           "\\ud83d\\ude00", "a\\uD83D\\uDE00b", "\\ud83d", "\\ud83dx",
+           "\\ud83d\\u0041", "\\ude00", "\\u12", "\\u12G4", "\\ud83d\\u12",
+           "\\x", "\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80",
+           run, run + "\\n" + run, "\\t" + run + "\\u00e9",
+           run + "\\ud83d\\ude00" + run, run + "\x01" + run}) {
+    ASSERT_NO_FATAL_FAILURE(ExpectStringParity('"' + body + '"'));
+    ASSERT_NO_FATAL_FAILURE(ExpectStringParity('"' + body));
+  }
+  // A stored embedding column, as WAL records and snapshots carry it.
+  embed::UnixcoderSim model;
+  const std::string column =
+      embed::ToJson(model.EncodeText("reads tuples from a file"));
+  ASSERT_NO_FATAL_FAILURE(ExpectStringParity(Value(column).ToJson()));
+  // Seeded random bodies over a small alphabet rich in escape starts.
+  std::mt19937 rng(7);
+  const std::string alphabet = "ab\\u0dDe\"nt/\x1f\xc3\xa9";
+  for (int i = 0; i < 20000; ++i) {
+    std::string body;
+    const size_t len = rng() % 24;
+    for (size_t j = 0; j < len; ++j) body += alphabet[rng() % alphabet.size()];
+    const size_t quote = body.find('"');
+    if (quote != std::string::npos) body.resize(quote);
+    ASSERT_NO_FATAL_FAILURE(ExpectStringParity('"' + body + '"'));
+  }
+}
+
 }  // namespace
 }  // namespace laminar
